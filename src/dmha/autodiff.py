@@ -4,6 +4,12 @@ Float64 throughout, reverse-mode differentiation over an implicit tape.
 Covers exactly the layers the speaker net needs: matmul, 3x3 same-padding
 conv, 2x2 maxpool, softmax, relu, batchnorm, plus elementwise/reshaping
 plumbing with numpy-style broadcasting.
+
+The conv is a shifted GEMM (kn2row family) on a channel-major, batch-folded
+padded buffer (C, B*(H+2)*(W+2)): each of the nine taps is one contiguous
+column slice of that buffer, so forward and backward are nine 2-D GEMMs
+each with no operand copies. Its NCHW output is a view of the (O, B, ...)
+accumulator, so activations downstream are channel-major in memory.
 """
 
 from __future__ import annotations
@@ -360,6 +366,13 @@ def conv2d_same(x, w, b=None) -> Tensor:
     """3x3 stride-1 convolution with padding 1 (spatial size preserved).
 
     x: (C,H,W) or (B,C,H,W); w: (O,C,3,3); optional bias (O,).
+
+    Layout: the input is padded channel-major and batch-folded, as
+    xf = (C, B*(H+2)*(W+2)). Tap (di,dj) of every output pixel is then the
+    contiguous column slice xf[:, off:off+M] with off = di*(W+2)+dj, so the
+    forward is nine (O,C)@(C,M) GEMMs accumulated on the padded grid
+    (columns that wrap across a row or batch edge land in the pad and are
+    cropped away). The output is an NCHW view of that (O,B,H+2,W+2) grid.
     """
     x, w = _wrap(x), _wrap(w)
     squeeze = x.ndim == 3
@@ -375,37 +388,53 @@ def conv2d_same(x, w, b=None) -> Tensor:
         )
     B, C, H, W = xd.shape
     O = w.shape[0]
-    xp = np.pad(xd, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    out = np.zeros((B, O, H, W))
-    for di in range(3):
-        for dj in range(3):
-            patch = xp[:, :, di:di + H, dj:dj + W]
-            out += np.tensordot(patch, w.data[:, :, di, dj],
-                                axes=([1], [1])).transpose(0, 3, 1, 2)
+    Hp, Wp = H + 2, W + 2
+    L = B * Hp * Wp
+    # GEMM column count: the M = L-2*Wp-2 output columns rounded up to a
+    # multiple of 32, so that no pixel falls in a BLAS edge kernel (edge
+    # kernels round differently, and where the edge lies depends on B);
+    # the extra columns read zeros and are cropped away
+    Mp = -(-(L - 2 * Wp - 2) // 32) * 32
+    Lp = 2 * Wp + 2 + Mp
+    taps = [(di, dj, di * Wp + dj) for di in range(3) for dj in range(3)]
+    xf = np.zeros((C, Lp))
+    xg = xf[:, :L].reshape(C, B, Hp, Wp)
+    xg[:, :, 1:-1, 1:-1] = xd.transpose(1, 0, 2, 3)
+    wd = w.data
+    acc = np.empty((O, Lp))
+    np.matmul(wd[:, :, 0, 0], xf[:, :Mp], out=acc[:, :Mp])
+    tmp = np.empty((O, Mp))
+    for di, dj, off in taps[1:]:
+        np.matmul(wd[:, :, di, dj], xf[:, off:off + Mp], out=tmp)
+        acc[:, :Mp] += tmp
     parents = [x, w]
     if b is not None:
         b = _wrap(b)
-        out += b.data[None, :, None, None]
+        acc[:, :Mp] += b.data[:, None]
         parents.append(b)
+    out = acc[:, :L].reshape(O, B, Hp, Wp)[:, :, :H, :W]
+    out = out.transpose(1, 0, 2, 3)
 
     def bw(g):
         g4 = g[None] if squeeze else g
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(w.data)
-        for di in range(3):
-            for dj in range(3):
-                gxp[:, :, di:di + H, dj:dj + W] += np.tensordot(
-                    g4, w.data[:, :, di, dj], axes=([1], [0])
-                ).transpose(0, 3, 1, 2)
-                gw[:, :, di, dj] = np.tensordot(
-                    g4, xp[:, :, di:di + H, dj:dj + W],
-                    axes=([0, 2, 3], [0, 2, 3]))
-        gx = gxp[:, :, 1:-1, 1:-1]
+        ge = np.zeros((O, Lp))
+        gg = ge[:, :L].reshape(O, B, Hp, Wp)
+        gg[:, :, :H, :W] = g4.transpose(1, 0, 2, 3)
+        gem = ge[:, :Mp]
+        gw = np.empty_like(wd)
+        gxf = np.zeros((C, Lp))
+        tmp = np.empty((C, Mp))
+        for di, dj, off in taps:
+            gw[:, :, di, dj] = gem @ xf[:, off:off + Mp].T
+            np.matmul(wd[:, :, di, dj].T, gem, out=tmp)
+            gxf[:, off:off + Mp] += tmp
+        gx = gxf[:, :L].reshape(C, B, Hp, Wp)[:, :, 1:-1, 1:-1]
+        gx = gx.transpose(1, 0, 2, 3)
         if squeeze:
             gx = gx[0]
         grads = [gx, gw]
         if b is not None:
-            grads.append(g4.sum(axis=(0, 2, 3)))
+            grads.append(ge.sum(axis=1))
         return tuple(grads)
 
     return _make(out[0] if squeeze else out, parents, bw)
@@ -422,21 +451,22 @@ def maxpool2x2(x) -> Tensor:
     if H < 2 or W < 2:
         raise ValueError(f"maxpool2x2 needs spatial dims >= 2, got {H}x{W}")
     Ho, Wo = H // 2, W // 2
-    win = xd[:, :, :2 * Ho, :2 * Wo].reshape(B, C, Ho, 2, Wo, 2)
-    win = win.transpose(0, 1, 2, 4, 3, 5).reshape(B, C, Ho, Wo, 4)
-    arg = win.argmax(axis=-1)
-    out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+    # the four window corners as strided views, in row-major window order;
+    # a strict > keeps the first of tied maxima
+    quads = [(i, j) for i in (0, 1) for j in (0, 1)]
+    out = xd[:, :, 0:2 * Ho:2, 0:2 * Wo:2].copy()
+    arg = np.zeros(out.shape, dtype=np.int8)
+    for k, (i, j) in enumerate(quads[1:], start=1):
+        q = xd[:, :, i:2 * Ho:2, j:2 * Wo:2]
+        m = q > out
+        np.copyto(out, q, where=m)
+        np.copyto(arg, k, where=m)
 
     def bw(g):
         g4 = g[None] if squeeze else g
-        gwin = np.zeros((B, C, Ho, Wo, 4))
-        np.put_along_axis(gwin, arg[..., None], g4[..., None], axis=-1)
         gx = np.zeros_like(xd)
-        gx[:, :, :2 * Ho, :2 * Wo] = (
-            gwin.reshape(B, C, Ho, Wo, 2, 2)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(B, C, 2 * Ho, 2 * Wo)
-        )
+        for k, (i, j) in enumerate(quads):
+            np.copyto(gx[:, :, i:2 * Ho:2, j:2 * Wo:2], g4, where=arg == k)
         if squeeze:
             gx = gx[0]
         return (gx,)

@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 
+from . import autodiff as ad
+from . import features as feat
 from . import gradcheck as gc
 from . import metrics as mt
 from . import model as mdl
@@ -65,13 +67,12 @@ def cmd_train(args) -> int:
 
 
 def _extract_embeddings(checkpoint, manifest):
-    model, meta = tr.load_model(checkpoint)
-    cfg = RunConfig()  # feature defaults; the front-end is fixed
+    model, _ = tr.load_model(checkpoint)
+    fconfig = model.feature_config()
     embeddings = {}
     weights = {}
     for u in tr.load_manifest(manifest):
-        mel = tr.FeatureCache([u], cfg.feature_config())(u.utt_id)
-        import dmha.autodiff as ad
+        mel = feat.utterance_features(u.path, fconfig)
         with ad.no_grad():
             out = model.forward(mel[None], training=False)
         embeddings[u.utt_id] = out["embedding"].data[0].copy()

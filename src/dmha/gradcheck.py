@@ -158,6 +158,14 @@ def _layer_checks(seed: int):
     labels = rng.integers(0, 6, size=4)
     checks.append(("am_softmax", cos,
                    lambda t: am_softmax_loss(t, labels, s=5.0, m=0.2)))
+
+    # batched conv: the rows share one batch-folded buffer, so the input
+    # gradient must not leak across them
+    xq = Tensor(rng.standard_normal((2, 2, 5, 7)))
+    wq = Tensor(rng.standard_normal((3, 2, 3, 3)))
+    bq = Tensor(rng.standard_normal(3))
+    checks.append(("conv2d_same.batch", xq,
+                   lambda t: (ad.conv2d_same(t, wq, bq) ** 2).sum()))
     return checks
 
 

@@ -110,10 +110,16 @@ class SpeakerModel:
             out = self.forward(mel[None], training=False)
         return out["embedding"].data[0].copy()
 
+    def feature_config(self) -> feat.FeatureConfig:
+        """The front-end the encoder was built for: the checkpoint records
+        n_mels, the other feature settings are the defaults."""
+        return feat.FeatureConfig(n_mels=self.config.encoder.n_mels)
+
     def extract_from_wav(self, path,
-                         fconfig: feat.FeatureConfig = feat.FeatureConfig()
+                         fconfig: feat.FeatureConfig | None = None
                          ) -> np.ndarray:
-        return self.extract_embedding(feat.utterance_features(path, fconfig))
+        return self.extract_embedding(feat.utterance_features(
+            path, fconfig or self.feature_config()))
 
     # ---- flat named-tensor view (checkpoints, optimizer) -----------------
 

@@ -364,6 +364,9 @@ def train(tconfig: TrainConfig, dataset: list[Utterance],
                      if p.grad is not None}
             adam_step(model.params, grads, adam, lr, tconfig.weight_decay)
             losses.append(loss.item())
+            # release the graph and its intermediate gradients before the
+            # next forward builds a new one
+            del loss
             step_in_epoch += 1
             if step_hook is not None:
                 step_hook(epoch, step_in_epoch, model)

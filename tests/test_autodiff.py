@@ -115,6 +115,69 @@ def test_conv_channel_mismatch_rejected():
                        Tensor(np.zeros((1, 3, 3, 3))))
 
 
+@pytest.mark.parametrize("C,H,W", [(2, 5, 7), (1, 3, 5), (3, 1, 4),
+                                   (2, 6, 1), (1, 1, 1)])
+def test_conv_batched_bias_matches_oracle_odd_sizes(rng, C, H, W):
+    x = rng.standard_normal((3, C, H, W))
+    w = rng.standard_normal((2, C, 3, 3))
+    b = rng.standard_normal(2)
+    out = ad.conv2d_same(Tensor(x), Tensor(w), Tensor(b))
+    assert out.shape == (3, 2, H, W)
+    for i in range(3):
+        np.testing.assert_allclose(
+            out.data[i], _conv_oracle(x[i], w) + b[:, None, None], atol=1e-12)
+
+
+@pytest.mark.parametrize("C,O,H,W", [(3, 5, 6, 5), (16, 16, 7, 5),
+                                     (16, 32, 9, 10), (32, 16, 5, 9)])
+def test_conv_batch_rows_bit_identical_to_single(rng, C, O, H, W):
+    """Batch rows share one folded buffer; no row may see its neighbours,
+    and a row's rounding may not depend on the batch size (BLAS edge
+    kernels round differently; the wider cases catch a pixel in one)."""
+    x = rng.standard_normal((4, C, H, W))
+    w = Tensor(rng.standard_normal((O, C, 3, 3)))
+    b = Tensor(rng.standard_normal(O))
+    g = rng.standard_normal((4, O, H, W))
+    xb = Tensor(x, requires_grad=True)
+    (ad.conv2d_same(xb, w, b) * Tensor(g)).sum().backward()
+    out = ad.conv2d_same(Tensor(x), w, b).data
+    for i in range(4):
+        xi = Tensor(x[i:i + 1], requires_grad=True)
+        yi = ad.conv2d_same(xi, w, b)
+        np.testing.assert_array_equal(out[i], yi.data[0])
+        np.testing.assert_array_equal(
+            out[i], ad.conv2d_same(Tensor(x[i]), w, b).data)
+        (yi * Tensor(g[i:i + 1])).sum().backward()
+        np.testing.assert_array_equal(xb.grad[i], xi.grad[0])
+
+
+def test_conv_noncontiguous_input(rng):
+    xt = rng.standard_normal((2, 3, 7, 4)).transpose(0, 1, 3, 2)
+    assert not xt.flags.c_contiguous
+    w = rng.standard_normal((2, 3, 3, 3))
+    out = ad.conv2d_same(Tensor(xt), Tensor(w)).data
+    np.testing.assert_array_equal(
+        out, ad.conv2d_same(Tensor(np.ascontiguousarray(xt)), Tensor(w)).data)
+    for i in range(2):
+        np.testing.assert_allclose(out[i], _conv_oracle(xt[i], w), atol=1e-12)
+
+
+def test_conv_batched_gradients(rng):
+    w = rng.standard_normal((3, 2, 3, 3))
+    b = rng.standard_normal(3)
+    x = rng.standard_normal((2, 2, 5, 3))
+
+    def loss(xt, wt, bt):
+        return _loss(ad.conv2d_same(xt, wt, bt))
+
+    assert grad_check(lambda t: loss(t, Tensor(w), Tensor(b)),
+                      Tensor(x)) <= 1e-4
+    assert grad_check(lambda t: loss(Tensor(x), t, Tensor(b)),
+                      Tensor(w)) <= 1e-4
+    assert grad_check(lambda t: loss(Tensor(x), Tensor(w), t),
+                      Tensor(b)) <= 1e-4
+
+
 # ---- maxpool ----------------------------------------------------------------
 
 
@@ -146,6 +209,39 @@ def test_maxpool_tie_first_wins():
     expected = np.zeros((1, 2, 2))
     expected[0, 0, 0] = 1.0
     np.testing.assert_array_equal(x.grad, expected)
+
+
+def _maxpool_oracle(x):
+    """Window argmax (first of tied maxima wins) and its gradient scatter."""
+    B, C, H, W = x.shape
+    Ho, Wo = H // 2, W // 2
+    out = np.zeros((B, C, Ho, Wo))
+    src = {}
+    for idx in np.ndindex(B, C, Ho, Wo):
+        b, c, i, j = idx
+        win = x[b, c, 2 * i:2 * i + 2, 2 * j:2 * j + 2].reshape(-1)
+        k = int(np.argmax(win))
+        out[idx] = win[k]
+        src[idx] = (b, c, 2 * i + k // 2, 2 * j + k % 2)
+    return out, src
+
+
+def test_maxpool_matches_window_oracle_with_ties(rng):
+    """Odd sizes, many exact ties, and a channel-major (non-contiguous)
+    input as the conv produces it."""
+    base = rng.integers(0, 3, size=(3, 2, 7, 5)).astype(float)
+    for x in (base, np.ascontiguousarray(base.transpose(1, 0, 2, 3))
+              .transpose(1, 0, 2, 3)):
+        xt = Tensor(x, requires_grad=True)
+        out = ad.maxpool2x2(xt)
+        ref, src = _maxpool_oracle(x)
+        np.testing.assert_array_equal(out.data, ref)
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        expected = np.zeros(x.shape)
+        for idx, at in src.items():
+            expected[at] = g[idx]
+        np.testing.assert_array_equal(xt.grad, expected)
 
 
 # ---- softmax ----------------------------------------------------------------

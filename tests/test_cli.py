@@ -205,3 +205,28 @@ def test_synth_determinism(capsys, tmp_path):
     assert w1 == w2
     assert (tmp_path / "d1" / "trials.txt").read_text() == \
         (tmp_path / "d2" / "trials.txt").read_text()
+
+
+def test_extract_uses_checkpoint_front_end(cli_workspace, capsys, tmp_path):
+    """A model trained on 64 mel bins extracts through the CLI with the
+    front-end it was trained on, and matches extract_from_wav."""
+    ws = cli_workspace
+    cfg = tmp_path / "mel64.cfg"
+    cfg.write_text(ws["cfg"].read_text() + "n_mels = 64\n")
+    run = tmp_path / "run"
+    manifest = ws["corpus"] / "manifest.tsv"
+    assert cli.main(["train", "--config", str(cfg), "--data", str(manifest),
+                     "--out-dir", str(run), "--epochs", "1"]) == 0
+    emb_path = tmp_path / "emb.txt"
+    code, out, err = _run(capsys, "extract", "--checkpoint",
+                          str(run / "best.ckpt"), "--data", str(manifest),
+                          "--out", str(emb_path))
+    assert code == 0, err
+    embs = mdl.read_embeddings(emb_path)
+    model, _ = tr.load_model(run / "best.ckpt")
+    assert model.config.encoder.n_mels == 64
+    utts = tr.load_manifest(manifest)
+    assert set(embs) == {u.utt_id for u in utts}
+    for u in utts:
+        np.testing.assert_array_equal(embs[u.utt_id],
+                                      model.extract_from_wav(u.path))

@@ -62,6 +62,20 @@ def test_encode_batch_matches_single():
                                       enc.encode(mels[i], params, TINY).data)
 
 
+def test_encode_batch_matches_single_desk_channels():
+    """Bit-identity at the desk channel plan (up to 64 channels), over
+    lengths whose folded conv sizes differ between B=1 and B=3."""
+    config = enc.EncoderConfig(base_channels=8, n_mels=80)
+    params = _params(config)
+    rng = np.random.default_rng(5)
+    for n in (21, 26, 31, 43):
+        mels = rng.standard_normal((3, n, 80))
+        hb = enc.encode(mels, params, config)
+        for i in range(3):
+            np.testing.assert_array_equal(
+                hb.data[i], enc.encode(mels[i], params, config).data)
+
+
 def test_encode_rejects_short_and_mismatched():
     params = _params(TINY)
     with pytest.raises(ValueError):

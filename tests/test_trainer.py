@@ -283,3 +283,29 @@ def test_train_config_validation():
         tr.TrainConfig(anneal_factor=1.0)
     with pytest.raises(ValueError):
         tr.TrainConfig(anneal_patience=0)
+
+
+def test_step_does_not_pin_previous_graph(tiny_corpus, tmp_path,
+                                          tiny_run_config):
+    """The loss of step 1 (and with it its whole graph and intermediate
+    gradients) must be released before step 2's forward runs: the traced
+    allocation peak of step 2 stays within 10% of step 1's."""
+    import tracemalloc
+
+    _, utts = tiny_corpus
+    mc = tiny_run_config.model_config(3)
+    peaks = []
+
+    def hook(epoch, step, model):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        # batch 4 over 9 utterances: steps of 4 and 4 (the last 1 is skipped)
+        tr.train(_tiny_train_config(max_epochs=1), utts, mc, tmp_path,
+                 step_hook=hook)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 2
+    assert peaks[1] <= 1.1 * peaks[0], peaks
