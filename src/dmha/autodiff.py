@@ -522,11 +522,20 @@ def batchnorm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
 # ---- verification harness --------------------------------------------------
 
 
-def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
+TOLERANCE = 1e-4
+
+
+def grad_check(f, x: Tensor, eps: float = 1e-5,
+               max_coords: int | None = None, rng=None,
+               denom_floor: float = 1e-8) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     f maps a Tensor to a scalar Tensor; error per coordinate is
-    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    |analytic - numeric| / max(denom_floor, |analytic| + |numeric|), over
+    all coordinates or a random max_coords of them (large tensors). Raise
+    denom_floor for composite functions whose smallest true gradients sit
+    below the float64 FD noise floor (~1e-11 absolute at eps=1e-5); below
+    the floor the check still demands absolute agreement to floor * TOLERANCE.
     """
     xt = Tensor(x.data.copy(), requires_grad=True)
     out = f(xt)
@@ -534,14 +543,31 @@ def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
     analytic = (xt.grad if xt.grad is not None
                 else np.zeros_like(xt.data)).reshape(-1)
     flat = xt.data.reshape(-1)
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
+    idx = np.arange(flat.size)
+    if max_coords is not None and flat.size > max_coords:
+        idx = (rng or np.random.default_rng(0)).choice(
+            flat.size, size=max_coords, replace=False)
+
+    def fd(i, step):
         orig = flat[i]
-        flat[i] = orig + eps
+        flat[i] = orig + step
         hi = f(xt).item()
-        flat[i] = orig - eps
+        flat[i] = orig - step
         lo = f(xt).item()
         flat[i] = orig
-        numeric[i] = (hi - lo) / (2.0 * eps)
-    denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
-    return float(np.max(np.abs(analytic - numeric) / denom))
+        return (hi - lo) / (2.0 * step)
+
+    def rel_err(a, num):
+        return abs(a - num) / max(denom_floor, abs(a) + abs(num))
+
+    errs = []
+    for i in idx:
+        a = analytic[i]
+        err = rel_err(a, fd(i, eps))
+        if err > TOLERANCE:
+            # a relu/maxpool kink inside the FD interval breaks the
+            # smoothness precondition; a smaller step resolves it
+            err = min(err, rel_err(a, fd(i, eps / 10.0)))
+        errs.append(err)
+    # np.max, unlike max(), lets a NaN error through as a failure
+    return float(np.max(errs, initial=0.0))

@@ -6,10 +6,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from . import autodiff as ad
-from . import features as feat
 from . import gradcheck as gc
 from . import metrics as mt
 from . import model as mdl
@@ -19,23 +15,17 @@ from . import trainer as tr
 from .config import RunConfig, apply_overrides, load_config
 
 
+# flag -> RunConfig field; apply_overrides drops unset (None) flags
+_FLAG_FIELDS = {"seed": "seed", "pooling": "pooling", "heads": "heads",
+                "epochs": "max_epochs", "batch_size": "batch_size",
+                "lr": "lr"}
+
+
 def _load_run_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    for key in ("seed",):
-        if getattr(args, key, None) is not None:
-            overrides[key] = getattr(args, key)
-    if getattr(args, "pooling", None) is not None:
-        overrides["pooling"] = args.pooling
-    if getattr(args, "heads", None) is not None:
-        overrides["heads"] = args.heads
-    if getattr(args, "epochs", None) is not None:
-        overrides["max_epochs"] = args.epochs
-    if getattr(args, "batch_size", None) is not None:
-        overrides["batch_size"] = args.batch_size
-    if getattr(args, "lr", None) is not None:
-        overrides["lr"] = args.lr
-    return apply_overrides(cfg, **overrides).validate()
+    return apply_overrides(cfg, **{
+        field: getattr(args, flag, None)
+        for flag, field in _FLAG_FIELDS.items()}).validate()
 
 
 def cmd_synth(args) -> int:
@@ -68,17 +58,12 @@ def cmd_train(args) -> int:
 
 def _extract_embeddings(checkpoint, manifest):
     model, _ = tr.load_model(checkpoint)
-    fconfig = model.feature_config()
     embeddings = {}
     weights = {}
     for u in tr.load_manifest(manifest):
-        mel = feat.utterance_features(u.path, fconfig)
-        with ad.no_grad():
-            out = model.forward(mel[None], training=False)
-        embeddings[u.utt_id] = out["embedding"].data[0].copy()
-        hw = out["head_weights"]
-        weights[u.utt_id] = (out["weights"].data[0],
-                             None if hw is None else hw.data[0])
+        emb, w, hw = model.extract(u.path)
+        embeddings[u.utt_id] = emb
+        weights[u.utt_id] = (w, hw)
     return embeddings, weights
 
 

@@ -3,12 +3,13 @@ CLI flags overriding file values."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .encoder import EncoderConfig, output_dim
 from .features import FeatureConfig
 from .model import ModelConfig
-from .pooling import POOLING_KINDS, pooled_dim
+from .pooling import pooled_dim
 from .trainer import TrainConfig
 
 
@@ -44,25 +45,15 @@ class RunConfig:
     train_loss_goal: float = float("nan")  # NaN = disabled
 
     def validate(self) -> "RunConfig":
-        if self.pooling not in POOLING_KINDS:
-            raise ValueError(f"unknown pooling {self.pooling!r}; "
-                             f"choose from {POOLING_KINDS}")
-        d = output_dim(self.encoder_config())
-        pooled_dim(self.pooling, d, self.heads)  # raises if K does not divide D
-        if self.pooling == "attention" and self.heads != 1:
-            raise ValueError("attention pooling requires heads=1")
+        pooled_dim(self.pooling, output_dim(self.encoder_config()), self.heads)
         self.feature_config()
         return self
 
     def feature_config(self) -> FeatureConfig:
-        return FeatureConfig(sample_rate=self.sample_rate,
-                             win_length=self.win_length, hop=self.hop,
-                             n_fft=self.n_fft, n_mels=self.n_mels,
-                             fmin=self.fmin, fmax=self.fmax)
+        return _from_fields(FeatureConfig, self)
 
     def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(base_channels=self.base_channels,
-                             n_mels=self.n_mels)
+        return _from_fields(EncoderConfig, self)
 
     def model_config(self, num_speakers: int = 2) -> ModelConfig:
         return ModelConfig(encoder=self.encoder_config(),
@@ -71,17 +62,15 @@ class RunConfig:
                            s=self.s, m=self.m)
 
     def train_config(self) -> TrainConfig:
-        goal = None if self.train_loss_goal != self.train_loss_goal \
-            else self.train_loss_goal
-        return TrainConfig(chunk_frames=self.chunk_frames,
-                           batch_size=self.batch_size, lr=self.lr,
-                           weight_decay=self.weight_decay,
-                           max_epochs=self.max_epochs,
-                           anneal_patience=self.anneal_patience,
-                           anneal_factor=self.anneal_factor,
-                           seed=self.seed,
-                           validation_fraction=self.validation_fraction,
-                           train_loss_goal=goal)
+        goal = self.train_loss_goal
+        return _from_fields(TrainConfig, self,
+                            train_loss_goal=None if math.isnan(goal) else goal)
+
+
+def _from_fields(cls, cfg: RunConfig, **explicit):
+    """cls built from the RunConfig fields of the same name."""
+    return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)
+                  if f.name not in explicit}, **explicit)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

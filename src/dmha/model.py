@@ -83,9 +83,6 @@ class SpeakerModel:
                                 num_heads=self.config.num_heads,
                                 u_prime=self.params.get("pool.u_prime"))
 
-    def trainable(self) -> dict[str, Tensor]:
-        return self.params
-
     def forward(self, mel_batch, labels=None, training: bool = False):
         """mel_batch: (B, N, n_mels) -> dict with embedding, cos_logits,
         pooled context, attention weights, and (if labels given) loss."""
@@ -100,26 +97,24 @@ class SpeakerModel:
                                              self.config.s, self.config.m)
         return out
 
-    def extract_embedding(self, mel: np.ndarray) -> np.ndarray:
-        """Whole-utterance embedding, eval-mode batchnorm, deterministic."""
-        n = mel.shape[0]
-        if n < 16:
-            raise ValueError(
-                f"utterance too short: {n} mel frames, need at least 16")
-        with ad.no_grad():
-            out = self.forward(mel[None], training=False)
-        return out["embedding"].data[0].copy()
-
     def feature_config(self) -> feat.FeatureConfig:
         """The front-end the encoder was built for: the checkpoint records
         n_mels, the other feature settings are the defaults."""
         return feat.FeatureConfig(n_mels=self.config.encoder.n_mels)
 
-    def extract_from_wav(self, path,
-                         fconfig: feat.FeatureConfig | None = None
-                         ) -> np.ndarray:
-        return self.extract_embedding(feat.utterance_features(
-            path, fconfig or self.feature_config()))
+    def extract(self, path):
+        """Whole-utterance eval-mode forward of one wav file, deterministic.
+
+        Returns (embedding, weights (T, K), head_weights (K,) or None)."""
+        mel = feat.utterance_features(path, self.feature_config())
+        with ad.no_grad():
+            out = self.forward(mel[None], training=False)
+        hw = out["head_weights"]
+        return (out["embedding"].data[0].copy(), out["weights"].data[0],
+                None if hw is None else hw.data[0])
+
+    def extract_from_wav(self, path) -> np.ndarray:
+        return self.extract(path)[0]
 
     # ---- flat named-tensor view (checkpoints, optimizer) -----------------
 
@@ -155,9 +150,12 @@ def write_embeddings(path, embeddings: dict[str, np.ndarray]):
 
 def read_embeddings(path) -> dict[str, np.ndarray]:
     with open(path) as f:
-        header = f.readline().split()
-        dim = int(header[0].split("=")[1])
-        count = int(header[1].split("=")[1])
+        header = dict(kv.partition("=")[::2] for kv in f.readline().split())
+        try:
+            dim, count = int(header["dim"]), int(header["count"])
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}: expected a 'dim=<d> count=<n>' "
+                             "header line") from None
         out = {}
         for line in f:
             parts = line.split()

@@ -1,9 +1,10 @@
-"""Utterance-level attention poolings behind one interface.
+"""Utterance-level attention pooling: one code path for three kinds.
 
-Three kinds: "attention" (single-head self attention), "mha" (self
-multi-head attention, per-head softmax over time with 1/sqrt(d_h) logit
-scale, heads concatenated) and "dmha" (a second, unscaled self attention
-over the K head context vectors).
+Every kind runs K per-head softmax attentions over time, head j on the
+contiguous slice [j*D/K, (j+1)*D/K) with a 1/sqrt(d_h) logit scale.
+"attention" (vanilla self attention) is the K=1 case, "mha" concatenates
+the K head contexts, and "dmha" (double MHA) adds a second, unscaled self
+attention over the K head context vectors.
 """
 
 from __future__ import annotations
@@ -27,30 +28,24 @@ class PoolingParams:
     num_heads: int
     u_prime: Tensor | None = None
 
-    def __post_init__(self):
-        d = self.u.shape[0]
-        if d % self.num_heads != 0:
-            raise ValueError(
-                f"head count {self.num_heads} does not divide dim {d}")
 
-    @property
-    def dim(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def head_dim(self) -> int:
-        return self.dim // self.num_heads
+def pooled_dim(kind: str, dim: int, num_heads: int) -> int:
+    """Output dimension of a pooling kind; the one place that checks the
+    kind, the head count (1 for attention) and that it divides dim."""
+    if kind not in POOLING_KINDS:
+        raise ValueError(f"unknown pooling kind {kind!r}; "
+                         f"choose from {POOLING_KINDS}")
+    if kind == "attention" and num_heads != 1:
+        raise ValueError("attention pooling is single-head")
+    if num_heads < 1 or dim % num_heads != 0:
+        raise ValueError(f"head count {num_heads} does not divide dim {dim}")
+    return dim // num_heads if kind == "dmha" else dim
 
 
 def init_params(dim: int, num_heads: int, kind: str, param_rng) -> PoolingParams:
     """Zero-mean normal init with std 1/sqrt(d_h) keeps initial logits O(1)."""
-    if kind not in POOLING_KINDS:
-        raise ValueError(f"unknown pooling kind {kind!r}")
-    if kind == "attention" and num_heads != 1:
-        raise ValueError("attention pooling is single-head")
+    pooled_dim(kind, dim, num_heads)
     dh = dim // num_heads
-    if dim % num_heads != 0:
-        raise ValueError(f"head count {num_heads} does not divide dim {dim}")
     std = 1.0 / np.sqrt(dh)
     u = Tensor(param_rng("pool.u").normal(0.0, std, size=dim),
                requires_grad=True)
@@ -61,102 +56,63 @@ def init_params(dim: int, num_heads: int, kind: str, param_rng) -> PoolingParams
     return PoolingParams(u=u, num_heads=num_heads, u_prime=up)
 
 
-def pooled_dim(kind: str, dim: int, num_heads: int) -> int:
-    """Output dimension of each pooling kind."""
-    if dim % num_heads != 0:
-        raise ValueError(f"head count {num_heads} does not divide dim {dim}")
-    if kind in ("attention", "mha"):
-        return dim
-    if kind == "dmha":
-        return dim // num_heads
-    raise ValueError(f"unknown pooling kind {kind!r}")
-
-
 def head_split(h, num_heads: int) -> Tensor:
     """(.., T, D) -> (.., T, K, D/K); head j gets the contiguous slice
     [j*D/K, (j+1)*D/K) of each time step."""
     h = h if isinstance(h, Tensor) else Tensor(h)
     d = h.shape[-1]
-    if d % num_heads != 0:
-        raise ValueError(f"head count {num_heads} does not divide dim {d}")
     return h.reshape(h.shape[:-1] + (num_heads, d // num_heads))
 
 
-def _batched(h):
+def pool(h, params: PoolingParams, kind: str):
+    """Pool h, (T, D) or (B, T, D), with the given kind.
+
+    Returns (context (.., pooled_dim), weights (.., T, K),
+    head_weights (.., K) for dmha, else None).
+    """
     h = h if isinstance(h, Tensor) else Tensor(h)
     squeeze = h.ndim == 2
     if squeeze:
         h = h.reshape((1,) + h.shape)
-    return h, squeeze
-
-
-def _head_contexts(h, params: PoolingParams):
-    """Per-head attention over time.  h: (B, T, D).
-
-    Returns (contexts (B, K, d_h), weights (B, T, K))."""
     B, T, D = h.shape
-    K, dh = params.num_heads, params.head_dim
-    if D != params.dim:
-        raise ValueError(f"sequence dim {D} != parameter dim {params.dim}")
+    K = params.num_heads
+    if D != params.u.shape[0]:
+        raise ValueError(
+            f"sequence dim {D} != parameter dim {params.u.shape[0]}")
+    pooled_dim(kind, D, K)
+    dh = D // K
+    if kind == "dmha" and params.u_prime is None:
+        raise ValueError("double MHA pooling requires u_prime")
     hs = head_split(h, K)                                    # (B,T,K,dh)
     u = params.u.reshape((1, 1, K, dh))
     logits = ad.scale((hs * u).sum(axis=3), 1.0 / np.sqrt(dh))  # (B,T,K)
     w = ad.softmax(logits, axis=1)                           # (B,T,K)
     c = (hs * w.reshape((B, T, K, 1))).sum(axis=1)           # (B,K,dh)
-    return c, w
-
-
-def mha_pool(h, params: PoolingParams):
-    """Self multi-head attention pooling: concat of head contexts (dim D).
-
-    Returns (c, weights) with weights (T, K) columns summing to 1."""
-    h, squeeze = _batched(h)
-    B = h.shape[0]
-    c, w = _head_contexts(h, params)
-    c = c.reshape((B, params.dim))
+    wp = None
+    if kind == "dmha":
+        up = params.u_prime.reshape((1, 1, dh))
+        wp = ad.softmax((c * up).sum(axis=2), axis=1)        # (B,K), unscaled
+        c = (c * wp.reshape((B, K, 1))).sum(axis=1)          # (B,dh)
+    else:
+        c = c.reshape((B, D))
     if squeeze:
-        return c[0], w[0]
-    return c, w
-
-
-def self_attention_pool(h, params: PoolingParams):
-    """Vanilla self attention: the K=1 case of mha_pool."""
-    if params.num_heads != 1:
-        raise ValueError("self_attention_pool requires K=1 parameters")
-    return mha_pool(h, params)
-
-
-def double_mha_pool(h, params: PoolingParams):
-    """Double MHA: per-head contexts, then an unscaled self attention over
-    the K head context vectors.
-
-    Returns (c (dim D/K), weights (T, K), head_weights (K,))."""
-    if params.u_prime is None:
-        raise ValueError("double_mha_pool requires u_prime")
-    h, squeeze = _batched(h)
-    B = h.shape[0]
-    K, dh = params.num_heads, params.head_dim
-    c_heads, w = _head_contexts(h, params)                   # (B,K,dh)
-    up = params.u_prime.reshape((1, 1, dh))
-    head_logits = (c_heads * up).sum(axis=2)                 # (B,K), no sqrt scale
-    wp = ad.softmax(head_logits, axis=1)                     # (B,K)
-    c = (c_heads * wp.reshape((B, K, 1))).sum(axis=1)        # (B,dh)
-    if squeeze:
-        return c[0], w[0], wp[0]
+        return c[0], w[0], None if wp is None else wp[0]
     return c, w, wp
 
 
-def pool(h, params: PoolingParams, kind: str):
-    """Dispatch; returns (context, weights, head_weights-or-None)."""
-    if kind == "attention":
-        c, w = self_attention_pool(h, params)
-        return c, w, None
-    if kind == "mha":
-        c, w = mha_pool(h, params)
-        return c, w, None
-    if kind == "dmha":
-        return double_mha_pool(h, params)
-    raise ValueError(f"unknown pooling kind {kind!r}")
+def self_attention_pool(h, params: PoolingParams):
+    """Vanilla self attention, the K=1 case of pool: (c, weights)."""
+    return pool(h, params, "attention")[:2]
+
+
+def mha_pool(h, params: PoolingParams):
+    """Self multi-head attention pooling: (c (dim D), weights (T, K))."""
+    return pool(h, params, "mha")[:2]
+
+
+def double_mha_pool(h, params: PoolingParams):
+    """Double MHA: (c (dim D/K), weights (T, K), head_weights (K,))."""
+    return pool(h, params, "dmha")
 
 
 def format_weights(w: np.ndarray, head_weights: np.ndarray | None) -> str:

@@ -7,15 +7,17 @@ round-trip bit-exactly.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import autodiff as ad
+from . import encoder as enc
 from . import features as feat
 from .model import ModelConfig, SpeakerModel
-from . import encoder as enc
 
 
 @dataclass(frozen=True)
@@ -165,26 +167,32 @@ def save_checkpoint(path, config: dict, tensors: dict):
 
 def load_checkpoint(path):
     with open(path, "rb") as f:
+        def read(n):
+            data = f.read(n)
+            if len(data) != n:
+                raise ValueError(f"{path}: truncated checkpoint")
+            return data
+
         if f.read(4) != CKPT_MAGIC:
             raise ValueError(f"{path}: not a DMHA checkpoint")
-        version, = struct.unpack("<I", f.read(4))
+        version, = struct.unpack("<I", read(4))
         if version != CKPT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        clen, = struct.unpack("<I", f.read(4))
+        clen, = struct.unpack("<I", read(4))
         config = {}
-        for line in f.read(clen).decode().splitlines():
+        for line in read(clen).decode().splitlines():
             k, _, v = line.partition("=")
             config[k] = v
-        ntensors, = struct.unpack("<I", f.read(4))
+        ntensors, = struct.unpack("<I", read(4))
         tensors = {}
         for _ in range(ntensors):
-            nlen, = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode()
-            rank, = struct.unpack("<B", f.read(1))
-            dims = struct.unpack(f"<{rank}I", f.read(4 * rank))
+            nlen, = struct.unpack("<H", read(2))
+            name = read(nlen).decode()
+            rank, = struct.unpack("<B", read(1))
+            dims = struct.unpack(f"<{rank}I", read(4 * rank))
             count = int(np.prod(dims)) if rank else 1
             tensors[name] = np.frombuffer(
-                f.read(8 * count), dtype="<f8").reshape(dims).copy()
+                read(8 * count), dtype="<f8").reshape(dims).copy()
     return config, tensors
 
 
@@ -260,8 +268,6 @@ def train(tconfig: TrainConfig, dataset: list[Utterance],
     epoch streams are keyed by (seed, epoch) so resumed runs replay the
     identical batch sequence.
     """
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     speakers = sorted({u.speaker for u in dataset})
     by_speaker: dict[str, list[Utterance]] = {s: [] for s in speakers}
@@ -300,7 +306,7 @@ def train(tconfig: TrainConfig, dataset: list[Utterance],
     if resume is not None:
         rc, tensors = load_checkpoint(resume)
         model.load_state_tensors(tensors)
-        for name in model.trainable():
+        for name in model.params:
             adam.m[name] = tensors["adam.m." + name].copy()
             adam.v[name] = tensors["adam.v." + name].copy()
         adam.t = int(rc["train.step"])
@@ -327,7 +333,7 @@ def train(tconfig: TrainConfig, dataset: list[Utterance],
 
     def checkpoint_tensors():
         t = model.state_tensors()
-        for name in model.trainable():
+        for name in model.params:
             t["adam.m." + name] = adam.m.get(
                 name, np.zeros_like(model.params[name].data))
             t["adam.v." + name] = adam.v.get(
@@ -373,7 +379,6 @@ def train(tconfig: TrainConfig, dataset: list[Utterance],
         train_loss = float(np.mean(losses))
 
         if val_utts:
-            import dmha.autodiff as ad
             vlosses = []
             with ad.no_grad():
                 for b0 in range(0, len(val_utts), tconfig.batch_size):

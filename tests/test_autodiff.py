@@ -379,3 +379,25 @@ def test_no_grad_blocks_graph(rng):
 def test_grad_check_linear_is_tight(rng):
     x = Tensor(rng.standard_normal(6))
     assert grad_check(lambda t: (t * 3.0).sum(), x) <= 1e-10
+
+
+def test_grad_check_reports_a_wrong_backward(rng):
+    """A backward off by 1% fails on every coordinate, so neither the
+    coordinate sampling nor the eps/10 retry may hide it; a NaN gradient
+    fails too."""
+
+    def sin_with_backward(scale):
+        def f(t):
+            out = ad._make(np.sin(t.data), (t,),
+                           lambda g: (g * scale * np.cos(t.data),))
+            return out.sum()
+        return f
+
+    x = Tensor(rng.standard_normal(8))
+    assert grad_check(sin_with_backward(1.0), x) <= ad.TOLERANCE
+    for max_coords in (None, 3):
+        err = grad_check(sin_with_backward(1.01), x, max_coords=max_coords)
+        assert err > ad.TOLERANCE
+        assert err == pytest.approx(0.01 / 2.01, rel=1e-4)
+    assert not grad_check(sin_with_backward(np.nan), x,
+                          max_coords=3) <= ad.TOLERANCE

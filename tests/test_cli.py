@@ -1,6 +1,8 @@
 """Command-line surface: every subcommand end to end, error contract,
 config file handling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -230,3 +232,67 @@ def test_extract_uses_checkpoint_front_end(cli_workspace, capsys, tmp_path):
     for u in utts:
         np.testing.assert_array_equal(embs[u.utt_id],
                                       model.extract_from_wav(u.path))
+
+
+def test_flags_land_on_run_config_fields(tmp_path):
+    """Each train flag overrides its RunConfig field; without the flag the
+    config file's value stands."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("base_channels = 2\nseed = 11\npooling = mha\nheads = 4\n"
+                   "max_epochs = 3\nbatch_size = 5\nlr = 0.25\n"
+                   "train_loss_goal = 0.5\n")
+
+    def parse(*flags):
+        args = cli.build_parser().parse_args(
+            ["train", "--data", "x", "--config", str(cfg), *flags])
+        return cli._load_run_config(args)
+
+    base = parse()
+    assert (base.seed, base.pooling, base.heads, base.max_epochs,
+            base.batch_size, base.lr) == (11, "mha", 4, 3, 5, 0.25)
+    for flag, value, field, expected in (
+            ("--seed", "2", "seed", 2),
+            ("--pooling", "dmha", "pooling", "dmha"),
+            ("--heads", "8", "heads", 8),
+            ("--epochs", "9", "max_epochs", 9),
+            ("--batch-size", "16", "batch_size", 16),
+            ("--lr", "0.5", "lr", 0.5)):
+        got = parse(flag, value)
+        assert getattr(got, field) == expected, flag
+        assert replace(got, **{field: getattr(base, field)}) == base, flag
+
+
+@pytest.mark.parametrize("cut", ["header", "body"])
+def test_truncated_checkpoint_is_a_one_line_error(cli_workspace, capsys,
+                                                  tmp_path, cut):
+    ws = cli_workspace
+    data = ws["ckpt"].read_bytes()
+    # 10 bytes end inside the config-length field; 3 short of the end
+    # falls inside the last tensor's float64 values
+    ckpt = tmp_path / "cut.ckpt"
+    ckpt.write_bytes(data[:10] if cut == "header" else data[:-3])
+    code, _, err = _run(capsys, "extract", "--checkpoint", str(ckpt),
+                        "--data", str(ws["corpus"] / "manifest.tsv"),
+                        "--out", str(tmp_path / "emb.txt"))
+    assert code == 1
+    assert err == f"error: {ckpt}: truncated checkpoint\n"
+
+
+@pytest.mark.parametrize("content", ["", "spk000-u000 0.5 0.25\n"])
+def test_embedding_file_without_header_is_a_one_line_error(capsys, tmp_path,
+                                                          content):
+    emb = tmp_path / "emb.txt"
+    emb.write_text(content)
+    trials = tmp_path / "trials.txt"
+    trials.write_text("1 spk000-u000 spk000-u000\n")
+    code, _, err = _run(capsys, "score", "--embeddings", str(emb),
+                        "--trials", str(trials),
+                        "--out", str(tmp_path / "scores.txt"))
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(emb) in err
+
+
+def test_zero_heads_is_a_config_error():
+    with pytest.raises(ValueError, match="head count 0"):
+        RunConfig(heads=0).validate()
