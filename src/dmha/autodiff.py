@@ -254,10 +254,6 @@ def log(a) -> Tensor:
     return _make(np.log(a.data), (a,), bw)
 
 
-def sqrt(a) -> Tensor:
-    return power(a, 0.5)
-
-
 def relu(a) -> Tensor:
     a = _wrap(a)
     mask = a.data > 0.0
@@ -487,10 +483,8 @@ class BatchNormState:
     eps: float = 1e-5
 
     @classmethod
-    def create(cls, num_features: int, momentum: float = 0.1,
-               eps: float = 1e-5) -> "BatchNormState":
-        return cls(np.zeros(num_features), np.ones(num_features),
-                   momentum, eps)
+    def create(cls, num_features: int) -> "BatchNormState":
+        return cls(np.zeros(num_features), np.ones(num_features))
 
 
 def batchnorm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:

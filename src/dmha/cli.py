@@ -45,10 +45,8 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     dataset = tr.load_manifest(args.data)
-    n_spk = len({u.speaker for u in dataset})
-    result = tr.train(cfg.train_config(), dataset, cfg.model_config(n_spk),
-                      args.out_dir, fconfig=cfg.feature_config(),
-                      resume=args.resume)
+    result = tr.train(cfg.train_config(), dataset, cfg.model_config(),
+                      args.out_dir, resume=args.resume)
     last = result.log_rows[-1]
     print(f"trained {result.epochs_run} epochs; final train_loss="
           f"{last[1]:.4f} val_loss={last[2]:.4f}")
@@ -143,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("extract", help="extract embeddings from a checkpoint")
-    common(sp)
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--data", required=True, help="manifest tsv")
     sp.add_argument("--out", required=True, help="embedding file")
@@ -152,14 +149,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_extract)
 
     sp = sub.add_parser("score", help="cosine-score a trial list")
-    common(sp)
     sp.add_argument("--embeddings", required=True)
     sp.add_argument("--trials", required=True)
     sp.add_argument("--out", required=True, help="score file")
     sp.set_defaults(func=cmd_score)
 
     sp = sub.add_parser("eval", help="EER / minDCF over a trial list")
-    common(sp)
     sp.add_argument("--trials", required=True)
     sp.add_argument("--embeddings", default=None)
     sp.add_argument("--checkpoint", default=None)
@@ -168,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("gradcheck", help="finite-difference layer checks")
-    common(sp)
     sp.add_argument("--num-seeds", type=int, default=5)
     sp.set_defaults(func=cmd_gradcheck)
 

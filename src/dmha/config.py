@@ -3,7 +3,6 @@ CLI flags overriding file values."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 
 from .encoder import EncoderConfig, output_dim
@@ -15,62 +14,54 @@ from .trainer import TrainConfig
 
 @dataclass(frozen=True)
 class RunConfig:
-    # features
-    sample_rate: int = 16000
-    win_length: int = 400
-    hop: int = 160
-    n_fft: int = 512
-    n_mels: int = 80
-    fmin: float = 0.0
-    fmax: float = 8000.0
-    # encoder
-    base_channels: int = 128
+    # features and encoder: the front-end is fixed apart from n_mels
+    n_mels: int = EncoderConfig.n_mels
+    base_channels: int = EncoderConfig.base_channels
     # pooling
-    pooling: str = "dmha"
-    heads: int = 8
+    pooling: str = ModelConfig.pooling_kind
+    heads: int = ModelConfig.num_heads
     # head
-    hidden: int = 400
-    s: float = 30.0
-    m: float = 0.4
+    hidden: int = ModelConfig.hidden
+    s: float = ModelConfig.s
+    m: float = ModelConfig.m
     # trainer
-    chunk_frames: int = 350
-    batch_size: int = 128
-    lr: float = 1e-4
-    weight_decay: float = 1e-3
-    max_epochs: int = 100
-    anneal_patience: int = 15
-    anneal_factor: float = 0.5
-    validation_fraction: float = 0.05
-    seed: int = 0
-    train_loss_goal: float = float("nan")  # NaN = disabled
+    chunk_frames: int = TrainConfig.chunk_frames
+    batch_size: int = TrainConfig.batch_size
+    lr: float = TrainConfig.lr
+    weight_decay: float = TrainConfig.weight_decay
+    max_epochs: int = TrainConfig.max_epochs
+    anneal_patience: int = TrainConfig.anneal_patience
+    anneal_factor: float = TrainConfig.anneal_factor
+    validation_fraction: float = TrainConfig.validation_fraction
+    seed: int = TrainConfig.seed
+    train_loss_goal: float = TrainConfig.train_loss_goal
 
     def validate(self) -> "RunConfig":
         pooled_dim(self.pooling, output_dim(self.encoder_config()), self.heads)
         self.feature_config()
+        self.train_config()
         return self
 
     def feature_config(self) -> FeatureConfig:
-        return _from_fields(FeatureConfig, self)
+        return FeatureConfig(n_mels=self.n_mels)
 
     def encoder_config(self) -> EncoderConfig:
         return _from_fields(EncoderConfig, self)
 
-    def model_config(self, num_speakers: int = 2) -> ModelConfig:
+    def model_config(self, num_speakers: int = ModelConfig.num_speakers
+                     ) -> ModelConfig:
         return ModelConfig(encoder=self.encoder_config(),
                            pooling_kind=self.pooling, num_heads=self.heads,
                            hidden=self.hidden, num_speakers=num_speakers,
                            s=self.s, m=self.m)
 
     def train_config(self) -> TrainConfig:
-        goal = self.train_loss_goal
-        return _from_fields(TrainConfig, self,
-                            train_loss_goal=None if math.isnan(goal) else goal)
+        return _from_fields(TrainConfig, self)
 
 
-def _from_fields(cls, cfg: RunConfig, **explicit):
+def _from_fields(cls, cfg: RunConfig):
     """cls built from the RunConfig fields of the same name."""
-    return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)
-                  if f.name not in explicit}, **explicit)
+    return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

@@ -18,6 +18,9 @@ from .model import ModelConfig, SpeakerModel
 
 grad_check_sampled = grad_check  # samples coordinates given max_coords
 
+# FD coordinates sampled per parameter tensor of the whole-model check
+MAX_COORDS_PER_TENSOR = 40
+
 
 def _untie_for_maxpool(x: np.ndarray, rng) -> np.ndarray:
     """Perturb so no 2x2 window has near-ties (maxpool grad is only defined
@@ -132,8 +135,7 @@ def tiny_model_config() -> ModelConfig:
         s=5.0, m=0.2)
 
 
-def full_model_check(seed: int, max_coords_per_tensor: int | None = None
-                     ) -> list[tuple[str, float]]:
+def full_model_check(seed: int) -> list[tuple[str, float]]:
     """Parameter-wise FD check of the whole tiny network."""
     rng = np.random.default_rng(seed)
     model = SpeakerModel(tiny_model_config(), seed=seed)
@@ -156,26 +158,22 @@ def full_model_check(seed: int, max_coords_per_tensor: int | None = None
                 model.params[_name] = saved
             return out["loss"]
 
-        err = grad_check(loss_fn, param, max_coords=max_coords_per_tensor,
+        err = grad_check(loss_fn, param, max_coords=MAX_COORDS_PER_TENSOR,
                          rng=rng, denom_floor=1e-5)
         results.append((f"model.{name}", err))
     return results
 
 
-def run_gradcheck(seeds=(0, 1, 2, 3, 4), full_model: bool = True,
-                  max_coords_per_tensor: int | None = 40
-                  ) -> list[tuple[str, float]]:
-    """Max relative FD error per layer over all seeds."""
+def run_gradcheck(seeds=(0, 1, 2, 3, 4)) -> list[tuple[str, float]]:
+    """Max relative FD error per layer and model parameter over all seeds."""
     worst: dict[str, float] = {}
     for seed in seeds:
         for name, x, f in _layer_checks(seed):
             err = grad_check(f, x)
             worst[name] = max(worst.get(name, 0.0), err)
-    if full_model:
-        for seed in seeds:
-            for name, err in full_model_check(
-                    seed, max_coords_per_tensor=max_coords_per_tensor):
-                worst[name] = max(worst.get(name, 0.0), err)
+    for seed in seeds:
+        for name, err in full_model_check(seed):
+            worst[name] = max(worst.get(name, 0.0), err)
     return sorted(worst.items())
 
 

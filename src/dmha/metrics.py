@@ -87,13 +87,17 @@ def read_trials(path) -> list[Trial]:
     """Trial list: one line per trial, "<label 1|0> <enroll-id> <test-id>"."""
     trials = []
     with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(f, start=1):
+            parts = line.split()
+            if not parts:
                 continue
-            label, eid, tid = line.split()
+            if len(parts) != 3:
+                raise ValueError(f"{path}:{lineno}: expected "
+                                 "'<label> <enroll-id> <test-id>'")
+            label, eid, tid = parts
             if label not in ("0", "1"):
-                raise ValueError(f"bad trial label {label!r}")
+                raise ValueError(
+                    f"{path}:{lineno}: bad trial label {label!r}")
             trials.append(Trial(int(label), eid, tid))
     if not trials:
         raise ValueError(f"{path}: empty trial list")
@@ -124,8 +128,7 @@ def score_trials(trials, embeddings: dict[str, np.ndarray]) -> list[Trial]:
     return trials
 
 
-def evaluate_trials(trials, embeddings: dict[str, np.ndarray],
-                    cfg: DcfConfig = DcfConfig()) -> dict:
+def evaluate_trials(trials, embeddings: dict[str, np.ndarray]) -> dict:
     """Score and summarize a trial list.
 
     Returns {"eer", "dcf", "num_trials"}; trials come back with scores set.
@@ -135,7 +138,7 @@ def evaluate_trials(trials, embeddings: dict[str, np.ndarray],
     labels = [t.label for t in trials]
     return {
         "eer": compute_eer(scores, labels),
-        "dcf": compute_min_dcf(scores, labels, cfg),
+        "dcf": compute_min_dcf(scores, labels),
         "num_trials": len(trials),
     }
 

@@ -35,10 +35,10 @@ class ModelConfig:
     encoder: enc.EncoderConfig
     pooling_kind: str = "dmha"
     num_heads: int = 8
-    hidden: int = 400
-    num_speakers: int = 2
-    s: float = 30.0
-    m: float = 0.4
+    hidden: int = hd.HeadConfig.hidden
+    num_speakers: int = hd.HeadConfig.num_speakers
+    s: float = hd.HeadConfig.s
+    m: float = hd.HeadConfig.m
 
     @property
     def hidden_dim(self) -> int:
@@ -59,22 +59,16 @@ class ModelConfig:
 class SpeakerModel:
     """Parameter container plus forward/extract entry points."""
 
-    def __init__(self, config: ModelConfig, seed: int | None = None):
+    def __init__(self, config: ModelConfig, seed: int):
         self.config = config
-        self.params: dict[str, Tensor] = {}
-        self.bn_states: dict[str, ad.BatchNormState] = {}
-        if seed is not None:
-            self._init(seed)
-
-    def _init(self, seed: int):
         rng = param_rng_factory(seed)
-        self.params.update(enc.init_params(self.config.encoder, rng))
-        pp = pl.init_params(self.config.hidden_dim, self.config.num_heads,
-                            self.config.pooling_kind, rng)
+        self.params: dict[str, Tensor] = enc.init_params(config.encoder, rng)
+        pp = pl.init_params(config.hidden_dim, config.num_heads,
+                            config.pooling_kind, rng)
         self.params["pool.u"] = pp.u
         if pp.u_prime is not None:
             self.params["pool.u_prime"] = pp.u_prime
-        head_params, self.bn_states = hd.init_params(self.config.head, rng)
+        head_params, self.bn_states = hd.init_params(config.head, rng)
         self.params.update(head_params)
 
     @property
@@ -98,8 +92,8 @@ class SpeakerModel:
         return out
 
     def feature_config(self) -> feat.FeatureConfig:
-        """The front-end the encoder was built for: the checkpoint records
-        n_mels, the other feature settings are the defaults."""
+        """The front-end the encoder was built for: n_mels comes from the
+        model config, every other feature setting is fixed."""
         return feat.FeatureConfig(n_mels=self.config.encoder.n_mels)
 
     def extract(self, path):
@@ -157,11 +151,20 @@ def read_embeddings(path) -> dict[str, np.ndarray]:
             raise ValueError(f"{path}: expected a 'dim=<d> count=<n>' "
                              "header line") from None
         out = {}
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             parts = line.split()
-            out[parts[0]] = np.array([float(v) for v in parts[1:]])
-            if len(out[parts[0]]) != dim:
-                raise ValueError(f"bad embedding dim for {parts[0]}")
+            if not parts:
+                continue
+            if parts[0] in out:
+                raise ValueError(f"{path}:{lineno}: duplicate {parts[0]}")
+            try:
+                e = np.array([float(v) for v in parts[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if len(e) != dim:
+                raise ValueError(f"{path}:{lineno}: {len(e)} values for "
+                                 f"{parts[0]}, header says dim={dim}")
+            out[parts[0]] = e
     if len(out) != count:
         raise ValueError(f"embedding file header says {count}, found {len(out)}")
     return out

@@ -31,11 +31,16 @@ class TrainConfig:
     anneal_factor: float = 0.5
     seed: int = 0
     validation_fraction: float = 0.05
-    train_loss_goal: float | None = None  # optional desk-scale early stop
+    # desk-scale early stop below this train loss; -inf never stops
+    train_loss_goal: float = float("-inf")
 
     def __post_init__(self):
         if self.chunk_frames < 16:
             raise ValueError("chunk_frames must be >= 16")
+        if self.batch_size < 2:
+            raise ValueError("batch_size must be >= 2 (batchnorm)")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
         if not (0 < self.anneal_factor < 1):
             raise ValueError("anneal_factor must be in (0, 1)")
         if self.anneal_patience < 1:
@@ -56,12 +61,15 @@ def load_manifest(path) -> list[Utterance]:
     """Manifest: one line per utterance, "speaker<TAB>utt-id<TAB>wav-path"."""
     utts = []
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            spk, uid, wav = line.split("\t")
-            utts.append(Utterance(spk, uid, wav))
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ValueError(f"{path}:{lineno}: expected "
+                                 "speaker<TAB>utt-id<TAB>wav-path")
+            utts.append(Utterance(*parts))
     return utts
 
 
@@ -113,9 +121,9 @@ class AdamState:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
-              weight_decay: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8):
+              weight_decay: float):
     """Classic Adam; L2 decay is added to the gradient before the moments."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
@@ -225,7 +233,11 @@ def model_config_from_dict(d: dict) -> ModelConfig:
 def load_model(path) -> tuple[SpeakerModel, dict]:
     """Rebuild a SpeakerModel (and its meta dict) from a checkpoint."""
     config, tensors = load_checkpoint(path)
-    model = SpeakerModel(model_config_from_dict(config), seed=0)
+    try:
+        model_config = model_config_from_dict(config)
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint lacks {exc.args[0]}") from None
+    model = SpeakerModel(model_config, seed=0)
     model.load_state_tensors(tensors)
     return model, config
 
@@ -259,7 +271,7 @@ def _forward_batch(model, batch_mel, labels, training):
 
 def train(tconfig: TrainConfig, dataset: list[Utterance],
           model_config: ModelConfig, out_dir,
-          fconfig: feat.FeatureConfig = feat.FeatureConfig(),
+          fconfig: feat.FeatureConfig | None = None,
           resume=None, step_hook=None) -> TrainResult:
     """Train a speaker classifier; returns paths to best/last checkpoints.
 
@@ -292,8 +304,8 @@ def train(tconfig: TrainConfig, dataset: list[Utterance],
         for i, u in enumerate(utts):
             (val_utts if i in picks else train_utts).append(u)
 
-    cache = FeatureCache(dataset, fconfig)
     model = SpeakerModel(model_config, seed=tconfig.seed)
+    cache = FeatureCache(dataset, fconfig or model.feature_config())
     adam = AdamState()
     lr = tconfig.lr
     best_val = float("inf")
@@ -406,8 +418,7 @@ def train(tconfig: TrainConfig, dataset: list[Utterance],
                 since_improve = 0
 
         save_checkpoint(last_path, meta(epoch), checkpoint_tensors())
-        if tconfig.train_loss_goal is not None and \
-                train_loss < tconfig.train_loss_goal:
+        if train_loss < tconfig.train_loss_goal:
             break
 
     if best_state is None:

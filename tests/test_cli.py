@@ -296,3 +296,108 @@ def test_embedding_file_without_header_is_a_one_line_error(capsys, tmp_path,
 def test_zero_heads_is_a_config_error():
     with pytest.raises(ValueError, match="head count 0"):
         RunConfig(heads=0).validate()
+
+
+def test_front_end_keys_other_than_n_mels_are_rejected(tmp_path):
+    """The front-end is fixed apart from n_mels, so a config file cannot set
+    a hop that extraction would not use."""
+    bad = tmp_path / "hop.cfg"
+    bad.write_text("hop = 80\n")
+    with pytest.raises(ValueError, match="unknown config key 'hop'"):
+        load_config(bad)
+
+
+def test_run_config_defaults_are_the_built_configs_defaults():
+    """RunConfig takes each default from the config it builds, so "no early
+    stop" has one value in both."""
+    from dataclasses import fields
+
+    from dmha.encoder import EncoderConfig
+
+    run = RunConfig()
+    for cfg in (tr.TrainConfig(), EncoderConfig()):
+        for f in fields(cfg):
+            assert getattr(run, f.name) == getattr(cfg, f.name), f.name
+    assert run.model_config() == mdl.ModelConfig(EncoderConfig())
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--checkpoint", "c", "--data", "d", "--out", "o"],
+    ["score", "--embeddings", "e", "--trials", "t", "--out", "o"],
+    ["eval", "--trials", "t"],
+    ["gradcheck"]], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("flag", [["--config", "x.cfg"], ["--seed", "1"],
+                                  ["--out-dir", "x"]], ids=lambda f: f[0])
+def test_commands_without_run_config_reject_its_flags(argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv + flag)
+    assert exc.value.code != 0
+
+
+@pytest.mark.parametrize("flag", [["--epochs", "0"], ["--batch-size", "1"]],
+                         ids=lambda f: f[0])
+def test_train_rejects_no_epochs_and_single_utterance_batches(
+        cli_workspace, capsys, tmp_path, flag):
+    ws = cli_workspace
+    code, _, err = _run(capsys, "train", "--config", str(ws["cfg"]),
+                        "--data", str(ws["corpus"] / "manifest.tsv"),
+                        "--out-dir", str(tmp_path / "run"), *flag)
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_checkpoint_missing_model_key_is_a_one_line_error(cli_workspace,
+                                                         capsys, tmp_path):
+    ws = cli_workspace
+    ckpt = tmp_path / "partial.ckpt"
+    tr.save_checkpoint(ckpt, {"model.n_mels": 32}, {})
+    code, _, err = _run(capsys, "extract", "--checkpoint", str(ckpt),
+                        "--data", str(ws["corpus"] / "manifest.tsv"),
+                        "--out", str(tmp_path / "emb.txt"))
+    assert code == 1
+    assert err == f"error: {ckpt}: checkpoint lacks model.base_channels\n"
+
+
+def test_embedding_file_blank_line_is_skipped(capsys, tmp_path):
+    emb = tmp_path / "emb.txt"
+    emb.write_text("dim=2 count=2\n\na 1 0\n  \nb 1 1\n\n")
+    trials = tmp_path / "trials.txt"
+    trials.write_text("1 a b\n")
+    scores = tmp_path / "scores.txt"
+    code, _, err = _run(capsys, "score", "--embeddings", str(emb),
+                        "--trials", str(trials), "--out", str(scores))
+    assert code == 0, err
+    assert scores.read_text() == "a b 0.707106781\n"
+
+
+@pytest.mark.parametrize("kind, content, lineno, message", [
+    ("embeddings", "dim=2 count=1\na 1 x\n", 2, "could not convert"),
+    ("embeddings", "dim=2 count=2\na 1 0\n\nb 1\n", 4, "header says dim=2"),
+    ("embeddings", "dim=2 count=1\na 1 0\na 0 1\n", 3, "duplicate a"),
+    ("trials", "1 a b\n1 a\n", 2, "expected '<label> <enroll-id> <test-id>'"),
+    ("trials", "\n2 a b\n", 2, "bad trial label '2'"),
+    ("manifest", "spk0 spk0-u0 a.wav\n", 1, "speaker<TAB>utt-id<TAB>wav-path"),
+], ids=["embedding-value", "embedding-dim", "embedding-duplicate",
+        "trial-fields", "trial-label", "manifest-spaces"])
+def test_malformed_reader_lines_name_file_and_line(cli_workspace, capsys,
+                                                   tmp_path, kind, content,
+                                                   lineno, message):
+    ws = cli_workspace
+    paths = {"embeddings": tmp_path / "emb.txt",
+             "trials": tmp_path / "trials.txt",
+             "manifest": tmp_path / "manifest.tsv"}
+    paths["embeddings"].write_text("dim=2 count=2\na 1 0\nb 1 1\n")
+    paths["trials"].write_text("1 a b\n")
+    paths["manifest"].write_text("spk0\tspk0-u0\ta.wav\n")
+    paths[kind].write_text(content)
+    if kind == "manifest":
+        argv = ["eval", "--trials", str(paths["trials"]), "--checkpoint",
+                str(ws["ckpt"]), "--data", str(paths["manifest"])]
+    else:
+        argv = ["eval", "--trials", str(paths["trials"]), "--embeddings",
+                str(paths["embeddings"])]
+    code, _, err = _run(capsys, *argv)
+    assert code == 1
+    assert err.startswith(f"error: {paths[kind]}:{lineno}: ")
+    assert message in err and err.count("\n") == 1

@@ -309,3 +309,16 @@ def test_step_does_not_pin_previous_graph(tiny_corpus, tmp_path,
         tracemalloc.stop()
     assert len(peaks) == 2
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_train_front_end_defaults_to_the_model(tiny_corpus, tmp_path,
+                                               tiny_run_config):
+    """Without an explicit fconfig, training builds features with the
+    model's own n_mels, the front-end extraction uses too."""
+    _, utts = tiny_corpus
+    cfg = dataclasses.replace(tiny_run_config, n_mels=64)
+    res = tr.train(_tiny_train_config(max_epochs=1), utts,
+                   cfg.model_config(3), tmp_path)
+    model, _ = tr.load_model(res.best_path)
+    assert model.config.encoder.n_mels == 64
+    assert model.feature_config() == cfg.feature_config()
