@@ -5,11 +5,17 @@ Covers exactly the layers the speaker net needs: matmul, 3x3 same-padding
 conv, 2x2 maxpool, softmax, relu, batchnorm, plus elementwise/reshaping
 plumbing with numpy-style broadcasting.
 
-The conv is a shifted GEMM (kn2row family) on a channel-major, batch-folded
-padded buffer (C, B*(H+2)*(W+2)): each of the nine taps is one contiguous
-column slice of that buffer, so forward and backward are nine 2-D GEMMs
-each with no operand copies. Its NCHW output is a view of the (O, B, ...)
-accumulator, so activations downstream are channel-major in memory.
+The conv is a column-tiled im2col GEMM on a channel-major, batch-folded
+padded buffer (C, B*(H+2)*(W+2)): each of the nine taps is a column slice
+of that buffer, shifted by the tap's offset. One tile of TILE output
+columns at a time, the nine slices are copied into a (9C, TILE) patch and
+one GEMM computes the tile, so the unrolled input is never whole in
+memory. TILE and every GEMM width are multiples of 32, which keeps each
+pixel out of the BLAS edge kernels whose rounding differs: a batch row
+gets the bits of its B=1 encoding. The input gradient runs the same kernel
+on the padded output gradient with the flipped kernel, a gather, so its
+bits do not depend on the batch either. The NCHW output is a view of the
+(O, B, ...) grid, so activations downstream are channel-major in memory.
 """
 
 from __future__ import annotations
@@ -80,7 +86,12 @@ class Tensor:
     # ---- graph -----------------------------------------------------------
 
     def backward(self):
-        """Reverse-mode sweep seeded from this scalar."""
+        """Reverse-mode sweep seeded from this scalar.
+
+        Only leaves (tensors made with requires_grad=True) keep their .grad;
+        an inner node's gradient is dropped once passed to its parents, so
+        the sweep holds a few gradients at a time, not one per node.
+        """
         if self.data.size != 1:
             raise ValueError(
                 f"backward seed must be scalar, got shape {self.shape}"
@@ -111,6 +122,8 @@ class Tensor:
                     parent.grad = g.copy() if g.base is not None else g
                 else:
                     parent.grad = parent.grad + g
+            if not node.requires_grad:
+                node.grad = None
 
     def requires_grad_path(self) -> bool:
         return self.requires_grad or bool(self._parents)
@@ -358,6 +371,52 @@ def softmax(z, axis: int = -1) -> Tensor:
 # ---- conv / pool ----------------------------------------------------------
 
 
+# output columns per im2col tile, so a tile's (9C, TILE) patch is 9*C*32 KB;
+# a multiple of 32 so that every tile's GEMM width is one too (see the
+# column rounding in conv2d_same)
+TILE = 4096
+
+
+def _pad_fold(a: np.ndarray, Lp: int) -> np.ndarray:
+    """(B,C,H,W) -> zero-padded channel-major buffer (C, Lp), whose first
+    B*(H+2)*(W+2) columns hold the (B, H+2, W+2) padded images."""
+    B, C, H, W = a.shape
+    f = np.zeros((C, Lp))
+    f[:, :B * (H + 2) * (W + 2)].reshape(C, B, H + 2, W + 2)[
+        :, :, 1:-1, 1:-1] = a.transpose(1, 0, 2, 3)
+    return f
+
+
+def _patches(f: np.ndarray, Mp: int, Wp: int):
+    """Yield (c0, c1, patch) over the TILE-wide column blocks of [0, Mp):
+    patch is the (9C, c1-c0) im2col block of padded buffer f, whose rows
+    k*C:(k+1)*C hold tap k = 3*di+dj, f[:, off+c0:off+c1] with
+    off = di*Wp+dj. The one patch buffer is reused, so use each patch
+    before taking the next."""
+    C = f.shape[0]
+    offs = [di * Wp + dj for di in range(3) for dj in range(3)]
+    buf = np.empty((9 * C, min(TILE, Mp)))
+    for c0 in range(0, Mp, TILE):
+        c1 = min(c0 + TILE, Mp)
+        patch = buf[:, :c1 - c0]
+        for k, off in enumerate(offs):
+            patch[k * C:(k + 1) * C] = f[:, off + c0:off + c1]
+        yield c0, c1, patch
+
+
+def _conv_grid(wmat: np.ndarray, f: np.ndarray, Mp: int, Wp: int,
+               bias=None) -> np.ndarray:
+    """(R, 9C) tap-major kernel matrix applied to padded buffer f: one GEMM
+    per column tile, written straight into the (R, f.shape[1]) output grid;
+    only its first Mp columns are set."""
+    out = np.empty((wmat.shape[0], f.shape[1]))
+    for c0, c1, patch in _patches(f, Mp, Wp):
+        np.matmul(wmat, patch, out=out[:, c0:c1])
+        if bias is not None:
+            out[:, c0:c1] += bias[:, None]
+    return out
+
+
 def conv2d_same(x, w, b=None) -> Tensor:
     """3x3 stride-1 convolution with padding 1 (spatial size preserved).
 
@@ -365,10 +424,22 @@ def conv2d_same(x, w, b=None) -> Tensor:
 
     Layout: the input is padded channel-major and batch-folded, as
     xf = (C, B*(H+2)*(W+2)). Tap (di,dj) of every output pixel is then the
-    contiguous column slice xf[:, off:off+M] with off = di*(W+2)+dj, so the
-    forward is nine (O,C)@(C,M) GEMMs accumulated on the padded grid
-    (columns that wrap across a row or batch edge land in the pad and are
-    cropped away). The output is an NCHW view of that (O,B,H+2,W+2) grid.
+    column xf[:, j+off] with off = di*(W+2)+dj, where j is the pixel's
+    column on the (O, B, H+2, W+2) output grid (columns that wrap across a
+    row or batch edge land in the pad and are cropped away). The forward
+    gathers the nine taps of TILE output columns into one (9C, TILE) patch
+    and runs one (O,9C)@(9C,TILE) GEMM per tile (im2col, one tile at a
+    time, so the unrolled input is never whole in memory). The output is an
+    NCHW view of that grid.
+
+    Backward re-pads x instead of keeping xf alive. The input gradient is
+    the same kernel run on the padded output gradient with the flipped,
+    transposed weights: a gather, so each input pixel sums its nine taps
+    in one GEMM column, and a batch row's bits do not depend on where the
+    tile edges fall (a scatter-add of per-tile tap gradients would add in
+    an order set by the row's place in the batch). It is skipped when x
+    needs no gradient. The weight gradient sums patch @ gem_tile.T over
+    the same tiles, gem being the output-grid gradient.
     """
     x, w = _wrap(x), _wrap(w)
     squeeze = x.ndim == 3
@@ -389,48 +460,42 @@ def conv2d_same(x, w, b=None) -> Tensor:
     # GEMM column count: the M = L-2*Wp-2 output columns rounded up to a
     # multiple of 32, so that no pixel falls in a BLAS edge kernel (edge
     # kernels round differently, and where the edge lies depends on B);
-    # the extra columns read zeros and are cropped away
+    # TILE is a multiple of 32 too, so every tile's GEMM width is one. The
+    # extra columns read zeros and are cropped away
     Mp = -(-(L - 2 * Wp - 2) // 32) * 32
     Lp = 2 * Wp + 2 + Mp
-    taps = [(di, dj, di * Wp + dj) for di in range(3) for dj in range(3)]
-    xf = np.zeros((C, Lp))
-    xg = xf[:, :L].reshape(C, B, Hp, Wp)
-    xg[:, :, 1:-1, 1:-1] = xd.transpose(1, 0, 2, 3)
     wd = w.data
-    acc = np.empty((O, Lp))
-    np.matmul(wd[:, :, 0, 0], xf[:, :Mp], out=acc[:, :Mp])
-    tmp = np.empty((O, Mp))
-    for di, dj, off in taps[1:]:
-        np.matmul(wd[:, :, di, dj], xf[:, off:off + Mp], out=tmp)
-        acc[:, :Mp] += tmp
     parents = [x, w]
     if b is not None:
         b = _wrap(b)
-        acc[:, :Mp] += b.data[:, None]
         parents.append(b)
+    acc = _conv_grid(wd.transpose(0, 2, 3, 1).reshape(O, 9 * C),
+                     _pad_fold(xd, Lp), Mp, Wp,
+                     None if b is None else b.data)
     out = acc[:, :L].reshape(O, B, Hp, Wp)[:, :, :H, :W]
     out = out.transpose(1, 0, 2, 3)
 
     def bw(g):
-        g4 = g[None] if squeeze else g
-        ge = np.zeros((O, Lp))
-        gg = ge[:, :L].reshape(O, B, Hp, Wp)
-        gg[:, :, :H, :W] = g4.transpose(1, 0, 2, 3)
-        gem = ge[:, :Mp]
-        gw = np.empty_like(wd)
-        gxf = np.zeros((C, Lp))
-        tmp = np.empty((C, Mp))
-        for di, dj, off in taps:
-            gw[:, :, di, dj] = gem @ xf[:, off:off + Mp].T
-            np.matmul(wd[:, :, di, dj].T, gem, out=tmp)
-            gxf[:, off:off + Mp] += tmp
-        gx = gxf[:, :L].reshape(C, B, Hp, Wp)[:, :, 1:-1, 1:-1]
-        gx = gx.transpose(1, 0, 2, 3)
-        if squeeze:
-            gx = gx[0]
+        # output-grid pixel j sits at padded column j + Wp + 1, so padding
+        # g like the input gives the gather operand and, sliced, the grid
+        gf = _pad_fold(g[None] if squeeze else g, Lp)
+        gem = gf[:, Wp + 1:Wp + 1 + Mp]
+        gx = gw = None
+        if x.requires_grad_path():
+            wflip = wd[:, :, ::-1, ::-1].transpose(1, 2, 3, 0)
+            gxf = _conv_grid(wflip.reshape(C, 9 * O), gf, Mp, Wp)
+            gx = gxf[:, :L].reshape(C, B, Hp, Wp)[:, :, :H, :W]
+            gx = gx.transpose(1, 0, 2, 3)
+            if squeeze:
+                gx = gx[0]
+        if w.requires_grad_path():
+            gwm = np.zeros((9 * C, O))
+            for c0, c1, patch in _patches(_pad_fold(xd, Lp), Mp, Wp):
+                gwm += patch @ gem[:, c0:c1].T
+            gw = gwm.reshape(3, 3, C, O).transpose(3, 2, 0, 1)
         grads = [gx, gw]
         if b is not None:
-            grads.append(ge.sum(axis=1))
+            grads.append(gem.sum(axis=1))
         return tuple(grads)
 
     return _make(out[0] if squeeze else out, parents, bw)

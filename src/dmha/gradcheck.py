@@ -128,6 +128,24 @@ def _layer_checks(seed: int):
     return checks
 
 
+def _tiled_conv_checks(seed: int):
+    """Conv on a batch whose folded buffer spans 2.5 column tiles, with the
+    second row starting mid-tile: too large for every coordinate, so
+    run_gradcheck samples MAX_COORDS_PER_TENSOR of them."""
+    rng = np.random.default_rng(seed)
+    Wp = 15
+    Hp = -(-5 * ad.TILE // (4 * Wp))
+    x = rng.standard_normal((2, 2, Hp - 2, Wp - 2))
+    w = rng.standard_normal((3, 2, 3, 3))
+    b = Tensor(rng.standard_normal(3))
+    return [
+        ("conv2d_same.tiled", Tensor(x),
+         lambda t: (ad.conv2d_same(t, Tensor(w), b) ** 2).sum()),
+        ("conv2d_same.tiled.w", Tensor(w),
+         lambda t: (ad.conv2d_same(Tensor(x), t, b) ** 2).sum()),
+    ]
+
+
 def tiny_model_config() -> ModelConfig:
     return ModelConfig(
         encoder=EncoderConfig(base_channels=1, n_mels=16),
@@ -170,6 +188,10 @@ def run_gradcheck(seeds=(0, 1, 2, 3, 4)) -> list[tuple[str, float]]:
     for seed in seeds:
         for name, x, f in _layer_checks(seed):
             err = grad_check(f, x)
+            worst[name] = max(worst.get(name, 0.0), err)
+        for name, x, f in _tiled_conv_checks(seed):
+            err = grad_check(f, x, max_coords=MAX_COORDS_PER_TENSOR,
+                             rng=np.random.default_rng(seed))
             worst[name] = max(worst.get(name, 0.0), err)
     for seed in seeds:
         for name, err in full_model_check(seed):

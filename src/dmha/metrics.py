@@ -117,11 +117,16 @@ def write_scores(path, trials):
 
 
 def score_trials(trials, embeddings: dict[str, np.ndarray]) -> list[Trial]:
-    """Fill in cosine scores; every referenced utterance must resolve."""
-    missing = sorted({uid for t in trials for uid in (t.enroll_id, t.test_id)
-                      if uid not in embeddings})
+    """Fill in cosine scores; every referenced utterance must resolve to a
+    nonzero embedding."""
+    ids = sorted({uid for t in trials for uid in (t.enroll_id, t.test_id)})
+    missing = [uid for uid in ids if uid not in embeddings]
     if missing:
         raise ValueError("missing utterances: " + " ".join(missing))
+    zero = [uid for uid in ids if np.linalg.norm(embeddings[uid]) == 0.0]
+    if zero:
+        raise ValueError("all-zero embeddings (cosine score undefined): "
+                         + " ".join(zero))
     for t in trials:
         t.score = cosine_score(embeddings[t.enroll_id],
                                embeddings[t.test_id])

@@ -1,6 +1,8 @@
 """Autodiff core: forward values against independent oracles, gradients
 against central finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,6 +178,71 @@ def test_conv_batched_gradients(rng):
                       Tensor(w)) <= 1e-4
     assert grad_check(lambda t: loss(Tensor(x), Tensor(w), t),
                       Tensor(b)) <= 1e-4
+
+
+def _multi_tile_shape(B):
+    """(H, W) whose B-row folded conv buffer spans at least 3 column tiles,
+    with no batch row starting on a tile edge."""
+    Wp = 31
+    Hp = -(-3 * ad.TILE // (B * Wp)) + 1
+    assert B * Hp * Wp >= 3 * ad.TILE
+    assert all(i * Hp * Wp % ad.TILE for i in range(1, B))
+    return Hp - 2, Wp - 2
+
+
+@pytest.mark.parametrize("C", [1, 16])
+def test_conv_multi_tile_batch_rows_bit_identical_to_single(rng, C):
+    """Rows of a batch start mid-tile; their output and input gradient must
+    still carry the bits of a B=1 run, whose buffer is tiled elsewhere."""
+    B, O = 3, 8
+    H, W = _multi_tile_shape(B)
+    x = rng.standard_normal((B, C, H, W))
+    w = Tensor(rng.standard_normal((O, C, 3, 3)))
+    b = Tensor(rng.standard_normal(O))
+    g = rng.standard_normal((B, O, H, W))
+    xb = Tensor(x, requires_grad=True)
+    yb = ad.conv2d_same(xb, w, b)
+    (yb * Tensor(g)).sum().backward()
+    for i in range(B):
+        xi = Tensor(x[i:i + 1], requires_grad=True)
+        yi = ad.conv2d_same(xi, w, b)
+        np.testing.assert_array_equal(yb.data[i], yi.data[0])
+        (yi * Tensor(g[i:i + 1])).sum().backward()
+        np.testing.assert_array_equal(xb.grad[i], xi.grad[0])
+    if C == 1:  # the loop oracle is too slow for 16 channels here
+        np.testing.assert_allclose(yb.data[1], _conv_oracle(x[1], w.data)
+                                   + b.data[:, None, None], atol=1e-12)
+
+
+def test_conv_multi_tile_gradients(rng):
+    B, C, O = 2, 3, 4
+    H, W = _multi_tile_shape(B)
+    x = rng.standard_normal((B, C, H, W))
+    w = rng.standard_normal((O, C, 3, 3))
+    b = rng.standard_normal(O)
+
+    def loss(xt, wt, bt):
+        return _loss(ad.conv2d_same(xt, wt, bt))
+
+    for f, t in ((lambda t: loss(t, Tensor(w), Tensor(b)), x),
+                 (lambda t: loss(Tensor(x), t, Tensor(b)), w),
+                 (lambda t: loss(Tensor(x), Tensor(w), t), b)):
+        err = grad_check(f, Tensor(t), max_coords=40,
+                         rng=np.random.default_rng(1))
+        assert err <= ad.TOLERANCE
+
+
+def test_conv_skips_input_gradient_when_not_needed(rng):
+    x = rng.standard_normal((2, 3, 5, 6))
+    g = rng.standard_normal((2, 4, 5, 6))
+    w = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+    y = ad.conv2d_same(Tensor(x), w)
+    gx, gw = y._backward(g)
+    assert gx is None
+    wx = Tensor(w.data, requires_grad=True)
+    (ad.conv2d_same(Tensor(x, requires_grad=True), wx)
+     * Tensor(g)).sum().backward()
+    np.testing.assert_array_equal(gw, wx.grad)
 
 
 # ---- maxpool ----------------------------------------------------------------
@@ -367,6 +434,30 @@ def test_concat_and_slice_gradients(rng):
     x = Tensor(rng.standard_normal((2, 3)))
     assert grad_check(
         lambda t: _loss(ad.concat([t, Tensor(a)], axis=0)[1:3]), x) <= 1e-6
+
+
+def test_backward_releases_inner_gradients(rng):
+    """A 20-op chain on 1M elements: backward holds a few gradient-sized
+    arrays at a time, not one per node, and leaves keep exact gradients."""
+    n = 1_000_000
+    x = Tensor(rng.standard_normal(n), requires_grad=True)
+    s = Tensor(1.5, requires_grad=True)
+    nodes = []
+    y = x
+    for k in range(20):
+        y = y * s if k == 10 else ad.scale(y, 0.5)
+        nodes.append(y)
+    loss = y.sum()
+    tracemalloc.start()
+    try:
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * n
+    assert all(t.grad is None for t in nodes)
+    np.testing.assert_array_equal(x.grad, np.full(n, 1.5 * 0.5 ** 19))
+    np.testing.assert_allclose(s.grad, 0.5 ** 19 * x.data.sum(), rtol=1e-12)
 
 
 def test_no_grad_blocks_graph(rng):

@@ -371,6 +371,22 @@ def test_embedding_file_blank_line_is_skipped(capsys, tmp_path):
     assert scores.read_text() == "a b 0.707106781\n"
 
 
+def test_all_zero_embedding_is_a_one_line_error_naming_it(capsys, tmp_path):
+    """A ReLU-tapped embedding can be all zero; its cosine score is
+    undefined, so scoring stops before writing anything and names it."""
+    emb = tmp_path / "emb.txt"
+    emb.write_text("dim=2 count=3\na 1 0\nb 0 0\nc 1 1\n")
+    trials = tmp_path / "trials.txt"
+    trials.write_text("1 a c\n0 a b\n")
+    scores = tmp_path / "scores.txt"
+    code, _, err = _run(capsys, "score", "--embeddings", str(emb),
+                        "--trials", str(trials), "--out", str(scores))
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.rstrip().endswith(": b")
+    assert not scores.exists()
+
+
 @pytest.mark.parametrize("kind, content, lineno, message", [
     ("embeddings", "dim=2 count=1\na 1 x\n", 2, "could not convert"),
     ("embeddings", "dim=2 count=2\na 1 0\n\nb 1\n", 4, "header says dim=2"),
