@@ -1,9 +1,17 @@
 """Minimal dense-tensor autodiff core.
 
-Float64 throughout, reverse-mode differentiation over an implicit tape.
-Covers exactly the layers the speaker net needs: matmul, 3x3 same-padding
-conv, 2x2 maxpool, softmax, relu, batchnorm, plus elementwise/reshaping
-plumbing with numpy-style broadcasting.
+Reverse-mode differentiation over an implicit tape. Covers exactly the
+layers the speaker net needs: matmul, 3x3 same-padding conv, 2x2 maxpool,
+softmax, relu, batchnorm, plus elementwise/reshaping plumbing with
+numpy-style broadcasting.
+
+Dtype policy: a Tensor holds float32 data if given float32, and float64
+otherwise (Python scalars included). conv2d_same, relu and maxpool2x2 keep
+their input's dtype; the conv casts its float64 weight and bias to it once
+per call. A gradient takes the dtype of the tensor it flows into, so
+parameter gradients are float64 whatever the activations. Training,
+validation and the gradient check run in float64; embedding extraction
+runs the encoder in float32 (see model.SpeakerModel.extract).
 
 The conv is a column-tiled im2col GEMM on a channel-major, batch-folded
 padded buffer (C, B*(H+2)*(W+2)): each of the nine taps is a column slice
@@ -51,12 +59,15 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    """Row-major float64 array plus optional gradient bookkeeping."""
+    """Float32 or float64 array plus optional gradient bookkeeping: float32
+    data is kept, anything else becomes float64."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = (data if data.dtype == np.float32
+                     else np.asarray(data, dtype=np.float64))
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
@@ -118,6 +129,8 @@ class Tensor:
             for parent, g in zip(node._parents, node._backward(node.grad)):
                 if g is None or not parent.requires_grad_path():
                     continue
+                if g.dtype != parent.data.dtype:
+                    g = g.astype(parent.data.dtype)
                 if parent.grad is None:
                     parent.grad = g.copy() if g.base is not None else g
                 else:
@@ -192,7 +205,7 @@ def _axes(axis, ndim):
 
 
 def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(data, parents, backward) -> Tensor:
@@ -269,12 +282,21 @@ def log(a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _wrap(a)
-    mask = a.data > 0.0
+    out = np.maximum(a.data, 0)
 
     def bw(g):
-        return (g * mask,)
+        return (g * (out > 0),)
 
-    return _make(a.data * mask, (a,), bw)
+    return _make(out, (a,), bw)
+
+
+def cast(a, dtype) -> Tensor:
+    """a as dtype; the gradient goes back in a's own dtype. a itself when it
+    already has that dtype, so no node is added."""
+    a = _wrap(a)
+    if a.data.dtype == dtype:
+        return a
+    return _make(a.data.astype(dtype), (a,), lambda g: (g,))
 
 
 def reshape(a, shape) -> Tensor:
@@ -378,10 +400,11 @@ TILE = 4096
 
 
 def _pad_fold(a: np.ndarray, Lp: int) -> np.ndarray:
-    """(B,C,H,W) -> zero-padded channel-major buffer (C, Lp), whose first
-    B*(H+2)*(W+2) columns hold the (B, H+2, W+2) padded images."""
+    """(B,C,H,W) -> zero-padded channel-major buffer (C, Lp) of a's dtype,
+    whose first B*(H+2)*(W+2) columns hold the (B, H+2, W+2) padded
+    images."""
     B, C, H, W = a.shape
-    f = np.zeros((C, Lp))
+    f = np.zeros((C, Lp), dtype=a.dtype)
     f[:, :B * (H + 2) * (W + 2)].reshape(C, B, H + 2, W + 2)[
         :, :, 1:-1, 1:-1] = a.transpose(1, 0, 2, 3)
     return f
@@ -395,7 +418,7 @@ def _patches(f: np.ndarray, Mp: int, Wp: int):
     before taking the next."""
     C = f.shape[0]
     offs = [di * Wp + dj for di in range(3) for dj in range(3)]
-    buf = np.empty((9 * C, min(TILE, Mp)))
+    buf = np.empty((9 * C, min(TILE, Mp)), dtype=f.dtype)
     for c0 in range(0, Mp, TILE):
         c1 = min(c0 + TILE, Mp)
         patch = buf[:, :c1 - c0]
@@ -407,9 +430,9 @@ def _patches(f: np.ndarray, Mp: int, Wp: int):
 def _conv_grid(wmat: np.ndarray, f: np.ndarray, Mp: int, Wp: int,
                bias=None) -> np.ndarray:
     """(R, 9C) tap-major kernel matrix applied to padded buffer f: one GEMM
-    per column tile, written straight into the (R, f.shape[1]) output grid;
-    only its first Mp columns are set."""
-    out = np.empty((wmat.shape[0], f.shape[1]))
+    per column tile, written straight into the (R, f.shape[1]) output grid
+    of f's dtype; only its first Mp columns are set."""
+    out = np.empty((wmat.shape[0], f.shape[1]), dtype=f.dtype)
     for c0, c1, patch in _patches(f, Mp, Wp):
         np.matmul(wmat, patch, out=out[:, c0:c1])
         if bias is not None:
@@ -420,7 +443,9 @@ def _conv_grid(wmat: np.ndarray, f: np.ndarray, Mp: int, Wp: int,
 def conv2d_same(x, w, b=None) -> Tensor:
     """3x3 stride-1 convolution with padding 1 (spatial size preserved).
 
-    x: (C,H,W) or (B,C,H,W); w: (O,C,3,3); optional bias (O,).
+    x: (C,H,W) or (B,C,H,W); w: (O,C,3,3); optional bias (O,). The output
+    has x's dtype: w and b are cast to it once per call, and their
+    gradients are returned in their own dtype.
 
     Layout: the input is padded channel-major and batch-folded, as
     xf = (C, B*(H+2)*(W+2)). Tap (di,dj) of every output pixel is then the
@@ -464,14 +489,15 @@ def conv2d_same(x, w, b=None) -> Tensor:
     # extra columns read zeros and are cropped away
     Mp = -(-(L - 2 * Wp - 2) // 32) * 32
     Lp = 2 * Wp + 2 + Mp
-    wd = w.data
+    wd = w.data.astype(xd.dtype, copy=False)
     parents = [x, w]
+    bd = None
     if b is not None:
         b = _wrap(b)
         parents.append(b)
+        bd = b.data.astype(xd.dtype, copy=False)
     acc = _conv_grid(wd.transpose(0, 2, 3, 1).reshape(O, 9 * C),
-                     _pad_fold(xd, Lp), Mp, Wp,
-                     None if b is None else b.data)
+                     _pad_fold(xd, Lp), Mp, Wp, bd)
     out = acc[:, :L].reshape(O, B, Hp, Wp)[:, :, :H, :W]
     out = out.transpose(1, 0, 2, 3)
 
@@ -489,20 +515,24 @@ def conv2d_same(x, w, b=None) -> Tensor:
             if squeeze:
                 gx = gx[0]
         if w.requires_grad_path():
-            gwm = np.zeros((9 * C, O))
+            gwm = np.zeros((9 * C, O), dtype=w.data.dtype)
             for c0, c1, patch in _patches(_pad_fold(xd, Lp), Mp, Wp):
                 gwm += patch @ gem[:, c0:c1].T
             gw = gwm.reshape(3, 3, C, O).transpose(3, 2, 0, 1)
         grads = [gx, gw]
         if b is not None:
-            grads.append(gem.sum(axis=1))
+            grads.append(gem.sum(axis=1, dtype=b.data.dtype))
         return tuple(grads)
 
     return _make(out[0] if squeeze else out, parents, bw)
 
 
 def maxpool2x2(x) -> Tensor:
-    """2x2/2x2 max pooling; odd trailing rows/cols dropped, ties: first wins."""
+    """2x2/2x2 max pooling; odd trailing rows/cols dropped, ties: first wins.
+
+    The forward keeps only the max; the backward routes each window's
+    gradient to the first corner, in row-major window order, that equals
+    it, and gives the other corners g * 0 (a zero, signed like g)."""
     x = _wrap(x)
     squeeze = x.ndim == 3
     xd = x.data[None] if squeeze else x.data
@@ -512,22 +542,26 @@ def maxpool2x2(x) -> Tensor:
     if H < 2 or W < 2:
         raise ValueError(f"maxpool2x2 needs spatial dims >= 2, got {H}x{W}")
     Ho, Wo = H // 2, W // 2
-    # the four window corners as strided views, in row-major window order;
-    # a strict > keeps the first of tied maxima
-    quads = [(i, j) for i in (0, 1) for j in (0, 1)]
-    out = xd[:, :, 0:2 * Ho:2, 0:2 * Wo:2].copy()
-    arg = np.zeros(out.shape, dtype=np.int8)
-    for k, (i, j) in enumerate(quads[1:], start=1):
-        q = xd[:, :, i:2 * Ho:2, j:2 * Wo:2]
-        m = q > out
-        np.copyto(out, q, where=m)
-        np.copyto(arg, k, where=m)
+
+    def corners(a):
+        """The four window corners of a as strided views, in row-major
+        window order."""
+        return [a[:, :, i:2 * Ho:2, j:2 * Wo:2]
+                for i in (0, 1) for j in (0, 1)]
+
+    q = corners(xd)
+    out = np.maximum(q[0], q[1], out=np.empty((B, C, Ho, Wo), dtype=xd.dtype))
+    np.maximum(out, q[2], out=out)
+    np.maximum(out, q[3], out=out)
 
     def bw(g):
         g4 = g[None] if squeeze else g
         gx = np.zeros_like(xd)
-        for k, (i, j) in enumerate(quads):
-            np.copyto(gx[:, :, i:2 * Ho:2, j:2 * Wo:2], g4, where=arg == k)
+        free = np.ones(out.shape, dtype=bool)   # windows not yet routed
+        for qk, gk in zip(q, corners(gx)):
+            hit = free & (qk == out)
+            np.multiply(g4, hit, out=gk)   # dense; a masked copy is slower
+            free ^= hit
         if squeeze:
             gx = gx[0]
         return (gx,)

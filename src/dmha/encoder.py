@@ -66,7 +66,8 @@ def encode(mel, params: dict, config: EncoderConfig) -> Tensor:
     """Forward the encoder; mel is (N, n_mels) or (B, N, n_mels).
 
     Returns h as (T, D) or (B, T, D); flatten is channel-major (channel
-    index varies slowest).
+    index varies slowest). The layers run in mel's dtype (float32 or
+    float64; the float64 parameters are cast per layer) and h is float64.
     """
     x = mel if isinstance(mel, Tensor) else Tensor(mel)
     squeeze = x.ndim == 2
@@ -86,5 +87,6 @@ def encode(mel, params: dict, config: EncoderConfig) -> Tensor:
         x = ad.maxpool2x2(x)
     # (B, M, T, D') -> (B, T, M, D') -> (B, T, M*D'), channel-major
     x = x.transpose(0, 2, 1, 3)
-    h = x.reshape((B, x.shape[1], x.shape[2] * x.shape[3]))
+    h = ad.cast(x.reshape((B, x.shape[1], x.shape[2] * x.shape[3])),
+                np.float64)
     return h[0] if squeeze else h

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import wave
 from dataclasses import dataclass
 
@@ -72,8 +73,10 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=None)
 def mel_filterbank(config: FeatureConfig) -> np.ndarray:
-    """Triangular filters (n_mels x n_fft//2+1) on the HTK mel scale."""
+    """Triangular filters (n_mels x n_fft//2+1) on the HTK mel scale.
+    Computed once per config and returned read-only."""
     n_bins = config.n_fft // 2 + 1
     fft_freqs = np.arange(n_bins) * config.sample_rate / config.n_fft
     mel_pts = np.linspace(hz_to_mel(config.fmin), hz_to_mel(config.fmax),
@@ -85,7 +88,16 @@ def mel_filterbank(config: FeatureConfig) -> np.ndarray:
         rising = (fft_freqs - lo) / (ctr - lo)
         falling = (hi - fft_freqs) / (hi - ctr)
         fb[i] = np.maximum(0.0, np.minimum(rising, falling))
+    fb.flags.writeable = False
     return fb
+
+
+@functools.lru_cache(maxsize=None)
+def _window(config: FeatureConfig) -> np.ndarray:
+    """Read-only Hamming analysis window, computed once per config."""
+    w = np.hamming(config.win_length)
+    w.flags.writeable = False
+    return w
 
 
 def filter_centers_hz(config: FeatureConfig) -> np.ndarray:
@@ -104,7 +116,7 @@ def log_mel(audio: np.ndarray, config: FeatureConfig = FeatureConfig()) -> np.nd
     n = frame_count(len(audio), config)
     idx = (np.arange(config.win_length)[None, :]
            + config.hop * np.arange(n)[:, None])
-    frames = audio[idx] * np.hamming(config.win_length)
+    frames = audio[idx] * _window(config)
     spec = np.abs(np.fft.rfft(frames, n=config.n_fft, axis=1)) ** 2
     mel = spec @ mel_filterbank(config).T
     return np.log(np.maximum(mel, ENERGY_FLOOR))

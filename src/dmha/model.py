@@ -98,11 +98,13 @@ class SpeakerModel:
 
     def extract(self, path):
         """Whole-utterance eval-mode forward of one wav file, deterministic.
+        The encoder runs in float32 (embeddings within about 1e-7 relative
+        of float64); everything after it, and the parameters, stay float64.
 
         Returns (embedding, weights (T, K), head_weights (K,) or None)."""
         mel = feat.utterance_features(path, self.feature_config())
         with ad.no_grad():
-            out = self.forward(mel[None], training=False)
+            out = self.forward(mel[None].astype(np.float32), training=False)
         hw = out["head_weights"]
         return (out["embedding"].data[0].copy(), out["weights"].data[0],
                 None if hw is None else hw.data[0])
@@ -120,7 +122,16 @@ class SpeakerModel:
             out[name + ".running_var"] = st.running_var
         return out
 
-    def load_state_tensors(self, tensors: dict[str, np.ndarray]):
+    def load_state_tensors(self, tensors: dict[str, np.ndarray], source):
+        """Load state_tensors()-named arrays; a tensor that is missing or
+        has the wrong shape is a ValueError naming source and the tensor."""
+        for name, t in self.state_tensors().items():
+            if name not in tensors:
+                raise ValueError(f"{source}: tensor {name} is missing")
+            if tensors[name].shape != t.shape:
+                raise ValueError(
+                    f"{source}: tensor {name} has shape "
+                    f"{tensors[name].shape}, the model needs {t.shape}")
         for name, t in self.params.items():
             t.data = np.array(tensors[name], dtype=np.float64)
         for name, st in self.bn_states.items():
@@ -166,5 +177,6 @@ def read_embeddings(path) -> dict[str, np.ndarray]:
                                  f"{parts[0]}, header says dim={dim}")
             out[parts[0]] = e
     if len(out) != count:
-        raise ValueError(f"embedding file header says {count}, found {len(out)}")
+        raise ValueError(f"{path}: header says count={count}, found "
+                         f"{len(out)} embeddings")
     return out

@@ -181,6 +181,13 @@ def load_checkpoint(path):
                 raise ValueError(f"{path}: truncated checkpoint")
             return data
 
+        def text(n):
+            try:
+                return read(n).decode()
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: corrupt checkpoint (a key or "
+                                 "tensor name is not UTF-8)") from None
+
         if f.read(4) != CKPT_MAGIC:
             raise ValueError(f"{path}: not a DMHA checkpoint")
         version, = struct.unpack("<I", read(4))
@@ -188,14 +195,14 @@ def load_checkpoint(path):
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         clen, = struct.unpack("<I", read(4))
         config = {}
-        for line in read(clen).decode().splitlines():
+        for line in text(clen).splitlines():
             k, _, v = line.partition("=")
             config[k] = v
         ntensors, = struct.unpack("<I", read(4))
         tensors = {}
         for _ in range(ntensors):
             nlen, = struct.unpack("<H", read(2))
-            name = read(nlen).decode()
+            name = text(nlen)
             rank, = struct.unpack("<B", read(1))
             dims = struct.unpack(f"<{rank}I", read(4 * rank))
             count = int(np.prod(dims)) if rank else 1
@@ -238,7 +245,7 @@ def load_model(path) -> tuple[SpeakerModel, dict]:
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint lacks {exc.args[0]}") from None
     model = SpeakerModel(model_config, seed=0)
-    model.load_state_tensors(tensors)
+    model.load_state_tensors(tensors, path)
     return model, config
 
 
@@ -317,7 +324,7 @@ def train(tconfig: TrainConfig, dataset: list[Utterance],
 
     if resume is not None:
         rc, tensors = load_checkpoint(resume)
-        model.load_state_tensors(tensors)
+        model.load_state_tensors(tensors, resume)
         for name in model.params:
             adam.m[name] = tensors["adam.m." + name].copy()
             adam.v[name] = tensors["adam.v." + name].copy()

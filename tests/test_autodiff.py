@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import dmha.autodiff as ad
 from dmha.autodiff import BatchNormState, Tensor, grad_check
+from dmha.encoder import EncoderConfig
 
 
 def _loss(t):
@@ -245,6 +246,51 @@ def test_conv_skips_input_gradient_when_not_needed(rng):
     np.testing.assert_array_equal(gw, wx.grad)
 
 
+def test_conv_float32_matches_float64_oracle(rng):
+    """A float32 input runs the conv in float32; the float64 weight and bias
+    are cast for it, and their gradients come back in float64."""
+    x = rng.standard_normal((2, 3, 5, 6)).astype(np.float32)
+    w = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(4), requires_grad=True)
+    xt = Tensor(x, requires_grad=True)
+    out = ad.conv2d_same(xt, w, b)
+    assert out.data.dtype == np.float32
+    for i in range(2):
+        ref = _conv_oracle(x[i].astype(np.float64), w.data) \
+            + b.data[:, None, None]
+        assert np.max(np.abs(out.data[i] - ref)) <= 1e-5 * np.max(np.abs(ref))
+    out.sum().backward()
+    assert xt.grad.dtype == np.float32
+    assert w.grad.dtype == np.float64 and b.grad.dtype == np.float64
+    assert w.data.dtype == np.float64 and b.data.dtype == np.float64
+
+
+# (C, O, H, W) of the eight desk convs on a 40-frame, 80-mel input
+_DESK_CONVS = [(ci, co, 40 >> k, 80 >> k) for k, (cin, cout) in enumerate(
+    EncoderConfig(base_channels=8, n_mels=80).channel_plan)
+    for ci, co in ((cin, cout), (cout, cout))]
+
+
+@pytest.mark.parametrize("C,O,H,W", _DESK_CONVS)
+def test_conv_float32_batch_rows_bit_identical_to_single(rng, C, O, H, W):
+    """The desk encoder's conv shapes (base_channels 8, 80 mels) in float32:
+    a batch row's output and input gradient carry its B=1 bits."""
+    x = rng.standard_normal((3, C, H, W)).astype(np.float32)
+    w = Tensor(rng.standard_normal((O, C, 3, 3)))
+    b = Tensor(rng.standard_normal(O))
+    g = Tensor(rng.standard_normal((3, O, H, W)).astype(np.float32))
+    xb = Tensor(x, requires_grad=True)
+    yb = ad.conv2d_same(xb, w, b)
+    (yb * g).sum().backward()
+    assert yb.data.dtype == np.float32 and xb.grad.dtype == np.float32
+    for i in range(3):
+        xi = Tensor(x[i:i + 1], requires_grad=True)
+        yi = ad.conv2d_same(xi, w, b)
+        np.testing.assert_array_equal(yb.data[i], yi.data[0])
+        (yi * g[i:i + 1]).sum().backward()
+        np.testing.assert_array_equal(xb.grad[i], xi.grad[0])
+
+
 # ---- maxpool ----------------------------------------------------------------
 
 
@@ -311,6 +357,22 @@ def test_maxpool_matches_window_oracle_with_ties(rng):
         np.testing.assert_array_equal(xt.grad, expected)
 
 
+def test_maxpool_float32_matches_window_oracle_with_ties(rng):
+    base = rng.integers(0, 3, size=(2, 3, 5, 7)).astype(np.float32)
+    xt = Tensor(base, requires_grad=True)
+    out = ad.maxpool2x2(xt)
+    assert out.data.dtype == np.float32
+    ref, src = _maxpool_oracle(base)
+    np.testing.assert_array_equal(out.data, ref)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    (out * Tensor(g)).sum().backward()
+    assert xt.grad.dtype == np.float32
+    expected = np.zeros(base.shape, dtype=np.float32)
+    for idx, at in src.items():
+        expected[at] = g[idx]
+    np.testing.assert_array_equal(xt.grad, expected)
+
+
 # ---- softmax ----------------------------------------------------------------
 
 
@@ -351,6 +413,30 @@ def test_softmax_gradient(rng):
 def test_relu_values():
     out = ad.relu(Tensor([-1.0, 2.0, 0.0]))
     np.testing.assert_array_equal(out.data, [0.0, 2.0, 0.0])
+
+
+def test_relu_float32_values_and_gradient():
+    x = Tensor(np.array([-1.0, 2.0, 0.0, 3.0], dtype=np.float32),
+               requires_grad=True)
+    out = ad.relu(x)
+    assert out.data.dtype == np.float32
+    np.testing.assert_array_equal(out.data, [0.0, 2.0, 0.0, 3.0])
+    (out * Tensor(np.arange(4, dtype=np.float32))).sum().backward()
+    assert x.grad.dtype == np.float32
+    np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0, 3.0])
+
+
+def test_tensor_dtype_policy():
+    assert Tensor(np.ones(2, dtype=np.float32)).data.dtype == np.float32
+    for data in (1, 2.5, [1, 2], np.ones(2, dtype=np.int64),
+                 np.ones(2, dtype=np.float16)):
+        assert Tensor(data).data.dtype == np.float64
+    x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    h = ad.cast(x, np.float64)
+    assert h.data.dtype == np.float64 and ad.cast(h, np.float64) is h
+    (h * Tensor(np.arange(3.0))).sum().backward()
+    assert x.grad.dtype == np.float32
+    np.testing.assert_array_equal(x.grad, [0.0, 1.0, 2.0])
 
 
 def test_batchnorm_constant_feature_gives_beta():

@@ -417,3 +417,56 @@ def test_malformed_reader_lines_name_file_and_line(cli_workspace, capsys,
     assert code == 1
     assert err.startswith(f"error: {paths[kind]}:{lineno}: ")
     assert message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("pool.u_prime", None, "tensor pool.u_prime is missing"),
+    ("enc.b1.conv1.b", np.zeros(1),
+     "tensor enc.b1.conv1.b has shape (1,), the model needs (2,)"),
+], ids=["missing", "wrong-shape"])
+def test_checkpoint_tensor_missing_or_misshapen_is_a_one_line_error(
+        cli_workspace, capsys, tmp_path, name, value, message):
+    """Every model tensor is checked against the checkpoint: a missing one
+    is not a KeyError traceback, a misshapen one is not broadcast."""
+    ws = cli_workspace
+    config, tensors = tr.load_checkpoint(ws["ckpt"])
+    if value is None:
+        del tensors[name]
+    else:
+        tensors[name] = value
+    ckpt = tmp_path / "bad.ckpt"
+    tr.save_checkpoint(ckpt, config, tensors)
+    emb = tmp_path / "emb.txt"
+    code, _, err = _run(capsys, "extract", "--checkpoint", str(ckpt),
+                        "--data", str(ws["corpus"] / "manifest.tsv"),
+                        "--out", str(emb))
+    assert code == 1
+    assert err == f"error: {ckpt}: {message}\n"
+    assert not emb.exists()
+
+
+def test_embedding_count_mismatch_names_the_file(capsys, tmp_path):
+    emb = tmp_path / "emb.txt"
+    emb.write_text("dim=2 count=3\na 1 0\nb 1 1\n")
+    trials = tmp_path / "trials.txt"
+    trials.write_text("1 a b\n")
+    code, _, err = _run(capsys, "eval", "--trials", str(trials),
+                        "--embeddings", str(emb))
+    assert code == 1
+    assert err == (f"error: {emb}: header says count=3, found 2 "
+                   "embeddings\n")
+
+
+def test_corrupt_checkpoint_key_block_names_the_file(cli_workspace, capsys,
+                                                     tmp_path):
+    ws = cli_workspace
+    data = bytearray(ws["ckpt"].read_bytes())
+    data[12] = 0xFF   # first byte of the UTF-8 key block
+    ckpt = tmp_path / "corrupt.ckpt"
+    ckpt.write_bytes(bytes(data))
+    code, _, err = _run(capsys, "extract", "--checkpoint", str(ckpt),
+                        "--data", str(ws["corpus"] / "manifest.tsv"),
+                        "--out", str(tmp_path / "emb.txt"))
+    assert code == 1
+    assert err.startswith(f"error: {ckpt}: corrupt checkpoint")
+    assert err.count("\n") == 1

@@ -5,8 +5,9 @@ import pytest
 
 import dmha.autodiff as ad
 from dmha import encoder as enc
+from dmha import features as feat
 from dmha.autodiff import Tensor
-from dmha.model import param_rng_factory
+from dmha.model import ModelConfig, SpeakerModel, param_rng_factory
 
 
 TINY = enc.EncoderConfig(base_channels=2, n_mels=16)
@@ -157,3 +158,51 @@ def test_encoder_parameter_gradients():
         err = grad_check_sampled(loss_fn, params[name], max_coords=20,
                                  rng=rng, denom_floor=1e-5)
         assert err <= 1e-4, f"{name}: {err}"
+
+
+def test_encode_float32_gives_float64_h_and_matching_gradients():
+    """float32 activations, float64 parameters: h and the parameter
+    gradients come back in float64, close to the float64 run."""
+    config = enc.EncoderConfig(base_channels=4, n_mels=32)
+    rng = np.random.default_rng(9)
+    # float32-representable, so both runs see the same input values
+    mel = rng.standard_normal((2, 48, 32)).astype(np.float32).astype(float)
+    tgt = rng.standard_normal((2, 3, enc.output_dim(config)))
+    grads, hs = {}, {}
+    for dtype in (np.float64, np.float32):
+        params = _params(config, seed=3)
+        h = enc.encode(mel.astype(dtype), params, config)
+        assert h.data.dtype == np.float64
+        hs[dtype] = h.data
+        ((h - tgt) ** 2).sum().backward()
+        grads[dtype] = {name: p.grad for name, p in params.items()}
+        assert all(p.data.dtype == np.float64 and p.grad.dtype == np.float64
+                   for p in params.values())
+    h64, h32 = hs[np.float64], hs[np.float32]
+    assert not np.array_equal(h32, h64)   # the layers did run in float32
+    assert np.max(np.abs(h32 - h64)) <= 1e-5 * np.max(np.abs(h64))
+    for name, g64 in grads[np.float64].items():
+        g32 = grads[np.float32][name]
+        assert np.max(np.abs(g32 - g64)) <= 1e-4 * np.max(np.abs(g64)), name
+
+
+def test_extract_runs_float32_close_to_float64_forward(tmp_path):
+    """At the desk architecture, extract's float32 encoder gives the float64
+    forward's embedding within 1e-5 relative and leaves the parameters
+    float64."""
+    config = ModelConfig(encoder=enc.EncoderConfig(base_channels=8, n_mels=80),
+                         pooling_kind="dmha", num_heads=8, hidden=64,
+                         num_speakers=16)
+    model = SpeakerModel(config, seed=4)
+    rng = np.random.default_rng(4)
+    wav = tmp_path / "u.wav"
+    feat.write_wav(wav, 0.3 * np.sin(np.arange(40000) * 0.05)
+                   + 0.05 * rng.standard_normal(40000))
+    emb = model.extract_from_wav(wav)
+    mel = feat.utterance_features(wav, model.feature_config())
+    with ad.no_grad():
+        ref = model.forward(mel[None])["embedding"].data[0]
+    assert emb.dtype == np.float64
+    assert not np.array_equal(emb, ref)   # the encoder did run in float32
+    assert np.max(np.abs(emb - ref)) <= 1e-5 * np.max(np.abs(ref))
+    assert all(p.data.dtype == np.float64 for p in model.params.values())

@@ -127,3 +127,22 @@ def test_feature_config_validation():
         ft.FeatureConfig(win_length=600, n_fft=512)
     with pytest.raises(ValueError):
         ft.FeatureConfig(fmax=9000.0)
+
+
+def test_cached_front_end_constants_give_the_uncached_features(
+        tmp_path, rng, monkeypatch):
+    """The filterbank and window are built once per config, read-only, and
+    utterance_features keeps the bits of building them per call."""
+    cfg = ft.FeatureConfig(n_mels=32)
+    fb = ft.mel_filterbank(cfg)
+    assert fb is ft.mel_filterbank(ft.FeatureConfig(n_mels=32))
+    assert not fb.flags.writeable
+    with pytest.raises(ValueError):
+        fb[0, 0] = 1.0
+    np.testing.assert_array_equal(fb, ft.mel_filterbank.__wrapped__(cfg))
+    path = tmp_path / "u.wav"
+    ft.write_wav(path, np.clip(rng.standard_normal(16000) * 0.1, -1, 1))
+    cached = ft.utterance_features(path, cfg)
+    monkeypatch.setattr(ft, "mel_filterbank", ft.mel_filterbank.__wrapped__)
+    monkeypatch.setattr(ft, "_window", lambda c: np.hamming(c.win_length))
+    np.testing.assert_array_equal(cached, ft.utterance_features(path, cfg))
