@@ -7,6 +7,7 @@ round-trip bit-exactly.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -155,31 +156,45 @@ CKPT_VERSION = 1
 
 def save_checkpoint(path, config: dict, tensors: dict):
     """Little-endian binary: magic, u32 version, length-prefixed UTF-8
-    key=value block, then per-tensor records (name, rank, dims, raw f64)."""
+    key=value block, then per-tensor records (name, rank, dims, raw f64).
+
+    The bytes go to a temporary file beside path, which is fsynced and
+    then renamed over path: a crash mid-write leaves the old file whole."""
     blob = "".join(f"{k}={config[k]}\n" for k in sorted(config)).encode()
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<I", CKPT_VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(struct.pack("<I", len(tensors)))
-        for name in sorted(tensors):
-            arr = np.ascontiguousarray(tensors[name], dtype="<f8")
-            nb = name.encode()
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.tobytes())
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CKPT_MAGIC)
+            f.write(struct.pack("<I", CKPT_VERSION))
+            f.write(struct.pack("<I", len(blob)))
+            f.write(blob)
+            f.write(struct.pack("<I", len(tensors)))
+            for name in sorted(tensors):
+                arr = np.ascontiguousarray(tensors[name], dtype="<f8")
+                nb = name.encode()
+                f.write(struct.pack("<H", len(nb)))
+                f.write(nb)
+                f.write(struct.pack("<B", arr.ndim))
+                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                f.write(arr.tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path):
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
         def read(n):
-            data = f.read(n)
-            if len(data) != n:
+            # a corrupt length may be far larger than memory: check it
+            # against the file before reading
+            if n > size - f.tell():
                 raise ValueError(f"{path}: truncated checkpoint")
-            return data
+            return f.read(n)
 
         def text(n):
             try:
@@ -205,9 +220,12 @@ def load_checkpoint(path):
             name = text(nlen)
             rank, = struct.unpack("<B", read(1))
             dims = struct.unpack(f"<{rank}I", read(4 * rank))
-            count = int(np.prod(dims)) if rank else 1
-            tensors[name] = np.frombuffer(
-                read(8 * count), dtype="<f8").reshape(dims).copy()
+            data = np.frombuffer(read(8 * math.prod(dims)), dtype="<f8")
+            try:
+                tensors[name] = data.reshape(dims).copy()
+            except ValueError:  # numpy caps the rank and the element count
+                raise ValueError(f"{path}: corrupt checkpoint (tensor {name} "
+                                 f"has dims {dims})") from None
     return config, tensors
 
 
@@ -253,6 +271,79 @@ def load_model(path) -> tuple[SpeakerModel, dict]:
 
 
 @dataclass
+class TrainState:
+    """Everything a resumed run needs: the model, its Adam moments, the
+    learning rate, the last finished epoch and the plateau counters."""
+
+    model: SpeakerModel
+    lr: float
+    adam: AdamState = field(default_factory=AdamState)
+    epoch: int = 0
+    best_val: float = float("inf")
+    since_improve: int = 0
+
+    def save(self, path, tconfig: TrainConfig, speakers: list[str]):
+        """Write the state as a checkpoint that load_model also reads."""
+        config = model_config_to_dict(self.model.config)
+        config.update({
+            "train.epoch": self.epoch,
+            "train.step": self.adam.t,
+            "train.lr": repr(self.lr),
+            "train.best_val": repr(self.best_val),
+            "train.since_improve": self.since_improve,
+            "train.seed": tconfig.seed,
+            "train.chunk_frames": tconfig.chunk_frames,
+            "train.batch_size": tconfig.batch_size,
+            "train.weight_decay": repr(tconfig.weight_decay),
+            "speakers": ",".join(speakers),
+        })
+        tensors = self.model.state_tensors()
+        for name in self.model.params:
+            tensors["adam.m." + name] = self.adam.m[name]
+            tensors["adam.v." + name] = self.adam.v[name]
+        save_checkpoint(path, config, tensors)
+
+    @classmethod
+    def load(cls, path, model: SpeakerModel, tconfig: TrainConfig,
+             speakers: list[str]) -> "TrainState":
+        """The state save() wrote to path, loaded into model. A checkpoint
+        without training state, of other speakers, with misshapen Adam
+        moments or with no epoch left to train is a ValueError naming path."""
+        config, tensors = load_checkpoint(path)
+        try:
+            state = cls(model, float(config["train.lr"]),
+                        AdamState(t=int(config["train.step"])),
+                        epoch=int(config["train.epoch"]),
+                        best_val=float(config["train.best_val"]),
+                        since_improve=int(config["train.since_improve"]))
+            trained_on = config["speakers"].split(",")
+        except KeyError as exc:
+            raise ValueError(f"{path}: checkpoint has no training state "
+                             f"({exc.args[0]} is missing)") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad training state: {exc}") from None
+        if trained_on != speakers:
+            differ = sorted(set(trained_on) ^ set(speakers))[:3]
+            raise ValueError(f"{path}: checkpoint speakers differ from the "
+                             f"dataset's ({', '.join(differ) or 'in order'})")
+        if state.epoch >= tconfig.max_epochs:
+            raise ValueError(f"{path}: checkpoint is at epoch {state.epoch}, "
+                             f"max_epochs {tconfig.max_epochs} leaves "
+                             "nothing to train")
+        model.load_state_tensors(tensors, path)
+        for name, p in model.params.items():
+            for key, moments in (("adam.m.", state.adam.m),
+                                 ("adam.v.", state.adam.v)):
+                moment = tensors.get(key + name)
+                if moment is None or moment.shape != p.data.shape:
+                    raise ValueError(
+                        f"{path}: tensor {key + name} is missing or its "
+                        f"shape is not {p.data.shape}")
+                moments[name] = moment
+        return state
+
+
+@dataclass
 class TrainResult:
     best_path: str
     last_path: str
@@ -276,18 +367,9 @@ def _forward_batch(model, batch_mel, labels, training):
     return out["loss"]
 
 
-def train(tconfig: TrainConfig, dataset: list[Utterance],
-          model_config: ModelConfig, out_dir,
-          fconfig: feat.FeatureConfig | None = None,
-          resume=None, step_hook=None) -> TrainResult:
-    """Train a speaker classifier; returns paths to best/last checkpoints.
-
-    Deterministic under tconfig.seed: parameter init, the train/val split,
-    epoch shuffles and chunk offsets all flow from named sub-streams, and
-    epoch streams are keyed by (seed, epoch) so resumed runs replay the
-    identical batch sequence.
-    """
-    os.makedirs(out_dir, exist_ok=True)
+def _split_dataset(dataset: list[Utterance], tconfig: TrainConfig):
+    """(speakers, train, val): an utterance-disjoint validation split with
+    every speaker on both sides."""
     speakers = sorted({u.speaker for u in dataset})
     by_speaker: dict[str, list[Utterance]] = {s: [] for s in speakers}
     for u in dataset:
@@ -295,11 +377,6 @@ def train(tconfig: TrainConfig, dataset: list[Utterance],
     if len(speakers) < 2 or any(len(v) < 2 for v in by_speaker.values()):
         raise ValueError(
             "degenerate dataset: need >= 2 speakers with >= 2 utterances each")
-    if model_config.num_speakers != len(speakers):
-        model_config = replace(model_config, num_speakers=len(speakers))
-    label_of = {s: i for i, s in enumerate(speakers)}
-
-    # utterance-disjoint validation split, speakers shared
     split_rng = np.random.default_rng([tconfig.seed, zlib.crc32(b"split")])
     train_utts, val_utts = [], []
     for s in speakers:
@@ -310,130 +387,108 @@ def train(tconfig: TrainConfig, dataset: list[Utterance],
         picks = set(split_rng.choice(len(utts), size=n_val, replace=False))
         for i, u in enumerate(utts):
             (val_utts if i in picks else train_utts).append(u)
+    return speakers, train_utts, val_utts
 
-    model = SpeakerModel(model_config, seed=tconfig.seed)
-    cache = FeatureCache(dataset, fconfig or model.feature_config())
-    adam = AdamState()
-    lr = tconfig.lr
-    best_val = float("inf")
-    since_improve = 0
-    start_epoch = 1
-    best_state = None
-    log_rows = []
-    anneal_epochs = []
 
-    if resume is not None:
-        rc, tensors = load_checkpoint(resume)
-        model.load_state_tensors(tensors, resume)
-        for name in model.params:
-            adam.m[name] = tensors["adam.m." + name].copy()
-            adam.v[name] = tensors["adam.v." + name].copy()
-        adam.t = int(rc["train.step"])
-        lr = float(rc["train.lr"])
-        best_val = float(rc["train.best_val"])
-        since_improve = int(rc["train.since_improve"])
-        start_epoch = int(rc["train.epoch"]) + 1
+def _run_epoch(state: TrainState, tconfig: TrainConfig, utts, label_of,
+               cache, step_hook) -> float:
+    """One Adam step per batch of random chunks, one chunk per utterance in
+    the epoch's shuffled order; returns the mean step loss."""
+    rng = _epoch_rng(tconfig.seed, state.epoch)
+    chunks = [(sample_chunk(cache(utts[i].utt_id), tconfig.chunk_frames, rng),
+               label_of[utts[i].speaker])
+              for i in rng.permutation(len(utts))]
+    losses = []
+    for b0 in range(0, len(chunks), tconfig.batch_size):
+        batch = chunks[b0:b0 + tconfig.batch_size]
+        if len(batch) < 2:
+            continue  # batchnorm needs batch >= 2
+        mels = [c for c, _ in batch]
+        labels = [l for _, l in batch]
+        loss = _forward_batch(state.model, mels, labels, training=True)
+        for p in state.model.params.values():
+            p.zero_grad()
+        loss.backward()
+        grads = {name: p.grad for name, p in state.model.params.items()
+                 if p.grad is not None}
+        adam_step(state.model.params, grads, state.adam, state.lr,
+                  tconfig.weight_decay)
+        losses.append(loss.item())
+        # release the graph and its intermediate gradients before the
+        # next forward builds a new one
+        del loss
+        if step_hook is not None:
+            step_hook(state.epoch, len(losses), state.model)
+    return float(np.mean(losses))
 
-    def meta(epoch):
-        d = model_config_to_dict(model.config)
-        d.update({
-            "train.epoch": epoch,
-            "train.step": adam.t,
-            "train.lr": repr(lr),
-            "train.best_val": repr(best_val),
-            "train.since_improve": since_improve,
-            "train.seed": tconfig.seed,
-            "train.chunk_frames": tconfig.chunk_frames,
-            "train.batch_size": tconfig.batch_size,
-            "train.weight_decay": repr(tconfig.weight_decay),
-            "speakers": ",".join(speakers),
-        })
-        return d
 
-    def checkpoint_tensors():
-        t = model.state_tensors()
-        for name in model.params:
-            t["adam.m." + name] = adam.m.get(
-                name, np.zeros_like(model.params[name].data))
-            t["adam.v." + name] = adam.v.get(
-                name, np.zeros_like(model.params[name].data))
-        return t
+def _validate(model, tconfig: TrainConfig, utts, label_of, cache) -> float:
+    """Mean loss over the leading chunk of each utterance, no gradients."""
+    vlosses = []
+    with ad.no_grad():
+        for b0 in range(0, len(utts), tconfig.batch_size):
+            batch = utts[b0:b0 + tconfig.batch_size]
+            mels = [fixed_chunk(cache(u.utt_id), tconfig.chunk_frames)
+                    for u in batch]
+            labels = [label_of[u.speaker] for u in batch]
+            loss = _forward_batch(model, mels, labels, training=False)
+            vlosses.append(loss.item() * len(batch))
+    return float(np.sum(vlosses) / len(utts))
 
-    best_path = os.path.join(out_dir, "best.ckpt")
-    last_path = os.path.join(out_dir, "last.ckpt")
-    log_path = os.path.join(out_dir, "train_log.csv")
 
-    epoch = start_epoch - 1
-    for epoch in range(start_epoch, tconfig.max_epochs + 1):
-        rng = _epoch_rng(tconfig.seed, epoch)
-        order = rng.permutation(len(train_utts))
-        chunks = []
-        for i in order:
-            u = train_utts[i]
-            chunks.append((sample_chunk(cache(u.utt_id),
-                                        tconfig.chunk_frames, rng),
-                           label_of[u.speaker]))
-        losses = []
-        step_in_epoch = 0
-        for b0 in range(0, len(chunks), tconfig.batch_size):
-            batch = chunks[b0:b0 + tconfig.batch_size]
-            if len(batch) < 2:
-                continue  # batchnorm needs batch >= 2
-            mels = [c for c, _ in batch]
-            labels = [l for _, l in batch]
-            loss = _forward_batch(model, mels, labels, training=True)
-            for p in model.params.values():
-                p.zero_grad()
-            loss.backward()
-            grads = {name: p.grad for name, p in model.params.items()
-                     if p.grad is not None}
-            adam_step(model.params, grads, adam, lr, tconfig.weight_decay)
-            losses.append(loss.item())
-            # release the graph and its intermediate gradients before the
-            # next forward builds a new one
-            del loss
-            step_in_epoch += 1
-            if step_hook is not None:
-                step_hook(epoch, step_in_epoch, model)
-        train_loss = float(np.mean(losses))
-
-        if val_utts:
-            vlosses = []
-            with ad.no_grad():
-                for b0 in range(0, len(val_utts), tconfig.batch_size):
-                    batch = val_utts[b0:b0 + tconfig.batch_size]
-                    mels = [fixed_chunk(cache(u.utt_id), tconfig.chunk_frames)
-                            for u in batch]
-                    labels = [label_of[u.speaker] for u in batch]
-                    loss = _forward_batch(model, mels, labels, training=False)
-                    vlosses.append(loss.item() * len(batch))
-            val_loss = float(np.sum(vlosses) / len(val_utts))
-        else:
-            val_loss = train_loss
-
-        log_rows.append((epoch, train_loss, val_loss, lr))
-
-        if val_loss < best_val:
-            best_val = val_loss
-            since_improve = 0
-            best_state = (meta(epoch), checkpoint_tensors())
-        else:
-            since_improve += 1
-            if since_improve >= tconfig.anneal_patience:
-                lr *= tconfig.anneal_factor
-                anneal_epochs.append(epoch)
-                since_improve = 0
-
-        save_checkpoint(last_path, meta(epoch), checkpoint_tensors())
-        if train_loss < tconfig.train_loss_goal:
-            break
-
-    if best_state is None:
-        best_state = (meta(epoch), checkpoint_tensors())
-    save_checkpoint(best_path, *best_state)
-    with open(log_path, "w") as f:
+def _write_log(path, log_rows):
+    with open(path, "w") as f:
         f.write("epoch,train_loss,val_loss,lr\n")
         for e, tl, vl, l in log_rows:
             f.write(f"{e},{tl:.17g},{vl:.17g},{l:.17g}\n")
+
+
+def train(tconfig: TrainConfig, dataset: list[Utterance],
+          model_config: ModelConfig, out_dir,
+          fconfig: feat.FeatureConfig | None = None,
+          resume=None, step_hook=None) -> TrainResult:
+    """Train a speaker classifier; returns paths to best/last checkpoints.
+
+    Deterministic under tconfig.seed: parameter init, the train/val split,
+    epoch shuffles and chunk offsets all flow from named sub-streams, and
+    epoch streams are keyed by (seed, epoch) so resumed runs replay the
+    identical batch sequence; best.ckpt is written when validation improves.
+    """
+    speakers, train_utts, val_utts = _split_dataset(dataset, tconfig)
+    model_config = replace(model_config, num_speakers=len(speakers))
+    label_of = {s: i for i, s in enumerate(speakers)}
+    model = SpeakerModel(model_config, seed=tconfig.seed)
+    state = (TrainState(model, tconfig.lr) if resume is None else
+             TrainState.load(resume, model, tconfig, speakers))
+    cache = FeatureCache(dataset, fconfig or model.feature_config())
+    os.makedirs(out_dir, exist_ok=True)
+    best_path, last_path, log_path = (os.path.join(out_dir, name) for name in
+                                      ("best.ckpt", "last.ckpt",
+                                       "train_log.csv"))
+    start_epoch = state.epoch + 1
+    log_rows, anneal_epochs = [], []
+    for epoch in range(start_epoch, tconfig.max_epochs + 1):
+        state.epoch = epoch
+        train_loss = _run_epoch(state, tconfig, train_utts, label_of, cache,
+                                step_hook)
+        val_loss = (_validate(model, tconfig, val_utts, label_of, cache)
+                    if val_utts else train_loss)
+        log_rows.append((state.epoch, train_loss, val_loss, state.lr))
+        if val_loss < state.best_val:
+            state.best_val = val_loss
+            state.since_improve = 0
+            state.save(best_path, tconfig, speakers)
+        else:
+            state.since_improve += 1
+            if state.since_improve >= tconfig.anneal_patience:
+                state.lr *= tconfig.anneal_factor
+                anneal_epochs.append(state.epoch)
+                state.since_improve = 0
+        state.save(last_path, tconfig, speakers)
+        _write_log(log_path, log_rows)
+        if train_loss < tconfig.train_loss_goal:
+            break
+    if not os.path.exists(best_path):
+        state.save(best_path, tconfig, speakers)
     return TrainResult(best_path, last_path, log_rows, anneal_epochs,
-                       speakers, epochs_run=epoch - start_epoch + 1)
+                       speakers, epochs_run=state.epoch - start_epoch + 1)

@@ -1,0 +1,243 @@
+"""Training state on disk: in-place resume keeps the best model, resume
+input is checked, checkpoint writes survive a failure midway, the reader
+bounds every length by the file, and the log is written per epoch."""
+
+import dataclasses
+import errno
+import os
+import struct
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dmha import cli
+from dmha import synthdata as sd
+from dmha import trainer as tr
+from dmha.config import RunConfig
+
+
+def _tiny_train_config(**kw):
+    base = dict(chunk_frames=64, batch_size=4, lr=1e-3, weight_decay=1e-3,
+                max_epochs=2, anneal_patience=15, anneal_factor=0.5,
+                seed=7, validation_fraction=0.0)
+    base.update(kw)
+    return tr.TrainConfig(**base)
+
+
+@pytest.fixture(scope="module")
+def two_epoch_run(tiny_corpus, tiny_run_config, tmp_path_factory):
+    """A 2-epoch run on the tiny corpus: (utterances, its last.ckpt)."""
+    _, utts = tiny_corpus
+    res = tr.train(_tiny_train_config(), utts, tiny_run_config.model_config(3),
+                   tmp_path_factory.mktemp("two_epochs"))
+    return utts, res.last_path
+
+
+# ---- resume ----------------------------------------------------------------
+
+
+def test_in_place_resume_keeps_the_best_checkpoint(tmp_path):
+    """3 epochs, then a resume in the same out-dir to 5, leave the same
+    best.ckpt and last.ckpt bytes as 5 straight epochs."""
+    manifest = sd.generate_corpus(tmp_path / "corpus", 3, 4, duration_s=1.5,
+                                  seed=3)
+    utts = tr.load_manifest(manifest)
+    cfg = RunConfig(base_channels=2, n_mels=32, hidden=16, pooling="dmha",
+                    heads=2, s=5.0, m=0.2, chunk_frames=64, batch_size=4,
+                    lr=1e-3, validation_fraction=0.34, seed=3).validate()
+
+    def run(epochs, out, resume=None):
+        return tr.train(dataclasses.replace(cfg.train_config(),
+                                            max_epochs=epochs),
+                        utts, cfg.model_config(), tmp_path / out,
+                        resume=resume)
+
+    straight = run(5, "straight")
+    best_epoch = int(tr.load_checkpoint(straight.best_path)[0]["train.epoch"])
+    # the case under test: the best epoch comes before the resume
+    assert best_epoch <= 3, best_epoch
+    first = run(3, "in_place")
+    resumed = run(5, "in_place", resume=first.last_path)
+    assert resumed.epochs_run == 2
+    for a, b in ((straight.best_path, resumed.best_path),
+                 (straight.last_path, resumed.last_path)):
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            assert fa.read() == fb.read()
+
+
+def _write_resume_checkpoint(case, last, path):
+    """last.ckpt of a 2-epoch run, damaged as `case` says, written to path."""
+    config, tensors = tr.load_checkpoint(last)
+    if case == "model_only":  # the layout bench/inputs.py writes
+        config = {k: v for k, v in config.items() if k.startswith("model.")}
+        tensors = {k: v for k, v in tensors.items()
+                   if not k.startswith("adam.")}
+    elif case == "adam_misshapen":  # would broadcast against the gradient
+        tensors[min(k for k in tensors if k.startswith("adam.v."))] = \
+            np.zeros(1)
+    elif case == "bad_value":
+        config["train.lr"] = "fast"
+    tr.save_checkpoint(path, config, tensors)
+
+
+@pytest.mark.parametrize("case, epochs, message", [
+    ("model_only", 3, "checkpoint has no training state"),
+    ("adam_misshapen", 3, r"tensor adam\.v\.\S+ is missing or its shape"),
+    ("other_speakers", 3, r"speakers differ from the dataset's "
+                          r"\(spk002, spk009\)"),
+    ("bad_value", 3, "bad training state"),
+    ("no_epoch_left", 2, "is at epoch 2, max_epochs 2 leaves nothing"),
+])
+def test_bad_resume_is_a_value_error_before_anything_is_written(
+        two_epoch_run, tiny_run_config, tmp_path, case, epochs, message):
+    utts, last = two_epoch_run
+    if case == "other_speakers":
+        utts = [dataclasses.replace(u, speaker="spk009")
+                if u.speaker == "spk002" else u for u in utts]
+    ckpt = tmp_path / "resume.ckpt"
+    _write_resume_checkpoint(case, last, ckpt)
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=message) as exc:
+        tr.train(_tiny_train_config(max_epochs=epochs), utts,
+                 tiny_run_config.model_config(3), out, resume=ckpt)
+    assert str(exc.value).startswith(f"{ckpt}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["model_only", "no_epoch_left"])
+def test_bad_resume_is_a_one_line_cli_error(two_epoch_run, tiny_corpus,
+                                            capsys, tmp_path, case):
+    root, _ = tiny_corpus
+    ckpt = tmp_path / "resume.ckpt"
+    _write_resume_checkpoint(case, two_epoch_run[1], ckpt)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("base_channels = 2\nhidden = 16\nheads = 2\n"
+                   "s = 5.0\nm = 0.2\nchunk_frames = 64\nbatch_size = 4\n"
+                   "validation_fraction = 0.0\nseed = 7\n")
+    code = cli.main(["train", "--config", str(cfg),
+                     "--data", str(root / "manifest.tsv"),
+                     "--out-dir", str(tmp_path / "run"),
+                     "--resume", str(ckpt), "--epochs", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+# ---- checkpoint writer and reader ------------------------------------------
+
+
+class _DiskFullAfter:
+    """A file whose writes fail, as on a full disk, after `budget` bytes."""
+
+    def __init__(self, path, mode, budget):
+        self.f = open(path, mode)
+        self.budget = budget
+
+    def write(self, data):
+        if len(data) > self.budget:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.budget -= len(data)
+        return self.f.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+def test_failed_checkpoint_write_leaves_the_previous_one(
+        tiny_corpus, tiny_run_config, tmp_path, monkeypatch):
+    _, utts = tiny_corpus
+    mc = tiny_run_config.model_config(3)
+    out = tmp_path / "run"
+    first = tr.train(_tiny_train_config(max_epochs=1), utts, mc, out)
+    assert sorted(os.listdir(out)) == ["best.ckpt", "last.ckpt",
+                                       "train_log.csv"]
+    before = {n: (out / n).read_bytes() for n in ("best.ckpt", "last.ckpt")}
+    monkeypatch.setattr(tr, "open", lambda path, mode="r":
+                        _DiskFullAfter(path, mode, budget=1000),
+                        raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        tr.train(_tiny_train_config(max_epochs=2), utts, mc, out,
+                 resume=first.last_path)
+    monkeypatch.undo()
+    assert {n: (out / n).read_bytes() for n in before} == before
+    assert sorted(os.listdir(out)) == ["best.ckpt", "last.ckpt",
+                                       "train_log.csv"]
+
+
+def _checkpoint_bytes(directory) -> bytes:
+    path = directory / "valid.ckpt"
+    tr.save_checkpoint(path, {"model.hidden": 4, "train.lr": repr(0.5)},
+                       {"a": np.arange(6.0).reshape(2, 3), "b": np.array(2.0),
+                        "c": np.zeros(0)})
+    return path.read_bytes()
+
+
+def test_tensor_larger_than_the_address_space_is_truncated(tmp_path):
+    """dims (2^31, 2^31) ask for 2^65 bytes, more than sys.maxsize: the
+    reader must compare with the file, not try to read them."""
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(tr.CKPT_MAGIC + struct.pack("<III", tr.CKPT_VERSION, 0, 1)
+                     + struct.pack("<H", 1) + b"w" + struct.pack("<B", 2)
+                     + struct.pack("<II", 2 ** 31, 2 ** 31))
+    assert 8 * 2 ** 62 > sys.maxsize
+    with pytest.raises(ValueError, match="truncated checkpoint"):
+        tr.load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_damaged_checkpoint_parses_or_names_the_file(fuzz_dir, data):
+    """A valid checkpoint cut at any offset, or with any byte overwritten,
+    either parses or gives a ValueError naming the file."""
+    good = _checkpoint_bytes(fuzz_dir)
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = good[:data.draw(st.integers(0, len(good) - 1), label="cut")]
+    else:
+        at = data.draw(st.integers(0, len(good) - 1), label="offset")
+        byte = data.draw(st.integers(0, 255), label="byte")
+        damaged = good[:at] + bytes([byte]) + good[at + 1:]
+    path = fuzz_dir / "damaged.ckpt"
+    path.write_bytes(damaged)
+    try:
+        tr.load_checkpoint(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: "), exc
+
+
+# ---- progress ---------------------------------------------------------------
+
+
+def test_log_is_on_disk_while_training(tiny_corpus, tiny_run_config,
+                                       tmp_path):
+    _, utts = tiny_corpus
+    log = tmp_path / "run" / "train_log.csv"
+    seen = []
+
+    def hook(epoch, step, model):
+        if epoch == 2 and step == 1:
+            seen.append(log.read_text().splitlines())
+
+    res = tr.train(_tiny_train_config(), utts,
+                   tiny_run_config.model_config(3), tmp_path / "run",
+                   step_hook=hook)
+    assert len(seen) == 1
+    assert seen[0][0] == "epoch,train_loss,val_loss,lr"
+    assert [row.split(",")[0] for row in seen[0][1:]] == ["1"]
+    e, tl, vl, lr = res.log_rows[0]
+    assert seen[0][1] == f"{e},{tl:.17g},{vl:.17g},{lr:.17g}"
+    assert len(log.read_text().splitlines()) == 3
