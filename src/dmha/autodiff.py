@@ -97,11 +97,16 @@ class Tensor:
     # ---- graph -----------------------------------------------------------
 
     def backward(self):
-        """Reverse-mode sweep seeded from this scalar.
+        """Reverse-mode sweep seeded from this scalar; it consumes the graph.
 
-        Only leaves (tensors made with requires_grad=True) keep their .grad;
-        an inner node's gradient is dropped once passed to its parents, so
-        the sweep holds a few gradients at a time, not one per node.
+        Only leaves (tensors made with requires_grad=True) keep their .grad.
+        The sweep pops each inner node once it has passed the node's
+        gradient to its parents, and drops the node's gradient, its parent
+        links and its backward closure, so the arrays the closure saved are
+        freed behind the sweep: it holds the part of the graph not yet
+        reached plus a few gradients, not the whole graph. A consumed node's
+        backward raises ValueError, so a second backward(), or a consumed
+        tensor used in a new graph, fails instead of dropping gradient.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -123,23 +128,13 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is None or node.grad is None:
-                continue
-            for parent, g in zip(node._parents, node._backward(node.grad)):
-                if g is None or not parent.requires_grad_path():
-                    continue
-                if g.dtype != parent.data.dtype:
-                    g = g.astype(parent.data.dtype)
-                if parent.grad is None:
-                    parent.grad = g.copy() if g.base is not None else g
-                else:
-                    parent.grad = parent.grad + g
-            if not node.requires_grad:
-                node.grad = None
+        while topo:
+            node = topo.pop()
+            if node._backward is not None:
+                _backprop(node)
 
     def requires_grad_path(self) -> bool:
-        return self.requires_grad or bool(self._parents)
+        return self.requires_grad or self._backward is not None
 
     # ---- operators ------------------------------------------------------
 
@@ -194,6 +189,32 @@ class Tensor:
     @property
     def T(self):
         return transpose(self, None)
+
+
+def _consumed(g):
+    raise ValueError("backward through a graph an earlier backward consumed")
+
+
+def _backprop(node: Tensor):
+    """Pass node's gradient to its parents and consume node: its gradient
+    (unless it is a leaf), parent links and backward closure are dropped
+    before the parents' gradients are summed. A function of its own, so
+    that its locals go when it returns."""
+    parents, bw = node._parents, node._backward
+    node._parents, node._backward = (), _consumed
+    grads = () if node.grad is None else bw(node.grad)
+    del bw
+    if not node.requires_grad:
+        node.grad = None
+    for parent, g in zip(parents, grads):
+        if g is None or not parent.requires_grad_path():
+            continue
+        if g.dtype != parent.data.dtype:
+            g = g.astype(parent.data.dtype)
+        if parent.grad is None:
+            parent.grad = g.copy() if g.base is not None else g
+        else:
+            parent.grad = parent.grad + g
 
 
 def _axes(axis, ndim):

@@ -2,6 +2,13 @@
 
 Maps an N x n_mels spectrogram to a T x D sequence where T is N after four
 floor-halvings and D = M * D' (final channels times final frequency extent).
+
+Each block runs relu(conv1), then relu(maxpool2x2(conv2)): the second ReLU
+comes after the pool. That is the paper's conv-ReLU-conv-ReLU-maxpool, value
+for value, since max(max(a, b), 0) = max(max(a, 0), max(b, 0)) (NaN in,
+NaN out either way), and the gradient routes to the same corner; but the
+ReLU runs on a quarter of the pixels, and the graph keeps no full-resolution
+post-ReLU copy of the conv2 output.
 """
 
 from __future__ import annotations
@@ -81,10 +88,10 @@ def encode(mel, params: dict, config: EncoderConfig) -> Tensor:
             f"utterance too short for 16x downsampling: {N} frames < 16")
     x = x.reshape((B, 1, N, F))
     for b in range(1, 5):
-        for k in (1, 2):
-            x = ad.relu(ad.conv2d_same(x, params[f"enc.b{b}.conv{k}.w"],
-                                       params[f"enc.b{b}.conv{k}.b"]))
-        x = ad.maxpool2x2(x)
+        conv1, conv2 = ((params[f"enc.b{b}.conv{k}.w"],
+                         params[f"enc.b{b}.conv{k}.b"]) for k in (1, 2))
+        x = ad.relu(ad.conv2d_same(x, *conv1))
+        x = ad.relu(ad.maxpool2x2(ad.conv2d_same(x, *conv2)))
     # (B, M, T, D') -> (B, T, M, D') -> (B, T, M*D'), channel-major
     x = x.transpose(0, 2, 1, 3)
     h = ad.cast(x.reshape((B, x.shape[1], x.shape[2] * x.shape[3])),

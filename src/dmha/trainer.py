@@ -243,31 +243,60 @@ def model_config_to_dict(mc: ModelConfig) -> dict:
 
 
 def model_config_from_dict(d: dict) -> ModelConfig:
+    """The ModelConfig of a checkpoint's keys: a missing key is a KeyError,
+    a malformed value a ValueError naming the key."""
+
+    def get(key, parse=str):
+        try:
+            return parse(d[key])
+        except ValueError:
+            raise ValueError(f"bad {key} value {d[key]!r}") from None
+
     return ModelConfig(
-        encoder=enc.EncoderConfig(base_channels=int(d["model.base_channels"]),
-                                  n_mels=int(d["model.n_mels"])),
-        pooling_kind=d["model.pooling_kind"],
-        num_heads=int(d["model.num_heads"]),
-        hidden=int(d["model.hidden"]),
-        num_speakers=int(d["model.num_speakers"]),
-        s=float(d["model.s"]),
-        m=float(d["model.m"]),
+        encoder=enc.EncoderConfig(base_channels=get("model.base_channels", int),
+                                  n_mels=get("model.n_mels", int)),
+        pooling_kind=get("model.pooling_kind"),
+        num_heads=get("model.num_heads", int),
+        hidden=get("model.hidden", int),
+        num_speakers=get("model.num_speakers", int),
+        s=get("model.s", float),
+        m=get("model.m", float),
     )
+
+
+def _checkpoint_model_config(path, config: dict) -> ModelConfig:
+    """model_config_from_dict, with a missing or malformed key as a
+    ValueError naming path."""
+    try:
+        return model_config_from_dict(config)
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint lacks {exc.args[0]}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_model(path) -> tuple[SpeakerModel, dict]:
     """Rebuild a SpeakerModel (and its meta dict) from a checkpoint."""
     config, tensors = load_checkpoint(path)
-    try:
-        model_config = model_config_from_dict(config)
-    except KeyError as exc:
-        raise ValueError(f"{path}: checkpoint lacks {exc.args[0]}") from None
-    model = SpeakerModel(model_config, seed=0)
+    model = SpeakerModel(_checkpoint_model_config(path, config), seed=0)
     model.load_state_tensors(tensors, path)
     return model, config
 
 
 # ---- training loop -----------------------------------------------------------
+
+
+def _run_keys(model_config: ModelConfig, tconfig: TrainConfig) -> dict:
+    """The checkpoint keys a resumed run must match: the model and the
+    settings that shape its batches and its loss."""
+    keys = model_config_to_dict(model_config)
+    keys.update({
+        "train.seed": tconfig.seed,
+        "train.chunk_frames": tconfig.chunk_frames,
+        "train.batch_size": tconfig.batch_size,
+        "train.weight_decay": repr(tconfig.weight_decay),
+    })
+    return keys
 
 
 @dataclass
@@ -284,17 +313,13 @@ class TrainState:
 
     def save(self, path, tconfig: TrainConfig, speakers: list[str]):
         """Write the state as a checkpoint that load_model also reads."""
-        config = model_config_to_dict(self.model.config)
+        config = _run_keys(self.model.config, tconfig)
         config.update({
             "train.epoch": self.epoch,
             "train.step": self.adam.t,
             "train.lr": repr(self.lr),
             "train.best_val": repr(self.best_val),
             "train.since_improve": self.since_improve,
-            "train.seed": tconfig.seed,
-            "train.chunk_frames": tconfig.chunk_frames,
-            "train.batch_size": tconfig.batch_size,
-            "train.weight_decay": repr(tconfig.weight_decay),
             "speakers": ",".join(speakers),
         })
         tensors = self.model.state_tensors()
@@ -307,9 +332,15 @@ class TrainState:
     def load(cls, path, model: SpeakerModel, tconfig: TrainConfig,
              speakers: list[str]) -> "TrainState":
         """The state save() wrote to path, loaded into model. A checkpoint
-        without training state, of other speakers, with misshapen Adam
-        moments or with no epoch left to train is a ValueError naming path."""
+        without training state, with a malformed model.* value, of other
+        speakers, of another model or run setting (_run_keys), with
+        misshapen Adam moments or with no epoch left to train is a
+        ValueError naming path."""
         config, tensors = load_checkpoint(path)
+        # the model.* values as save() would write them; a missing or
+        # malformed one is an error naming path
+        config.update(model_config_to_dict(
+            _checkpoint_model_config(path, config)))
         try:
             state = cls(model, float(config["train.lr"]),
                         AdamState(t=int(config["train.step"])),
@@ -317,6 +348,9 @@ class TrainState:
                         best_val=float(config["train.best_val"]),
                         since_improve=int(config["train.since_improve"]))
             trained_on = config["speakers"].split(",")
+            mismatch = [(key, config[key], want) for key, want in
+                        _run_keys(model.config, tconfig).items()
+                        if str(config[key]) != str(want)]
         except KeyError as exc:
             raise ValueError(f"{path}: checkpoint has no training state "
                              f"({exc.args[0]} is missing)") from None
@@ -326,6 +360,10 @@ class TrainState:
             differ = sorted(set(trained_on) ^ set(speakers))[:3]
             raise ValueError(f"{path}: checkpoint speakers differ from the "
                              f"dataset's ({', '.join(differ) or 'in order'})")
+        if mismatch:
+            key, have, want = mismatch[0]
+            raise ValueError(f"{path}: checkpoint has {key}={have}, the run "
+                             f"has {want}")
         if state.epoch >= tconfig.max_epochs:
             raise ValueError(f"{path}: checkpoint is at epoch {state.epoch}, "
                              f"max_epochs {tconfig.max_epochs} leaves "
@@ -393,7 +431,9 @@ def _split_dataset(dataset: list[Utterance], tconfig: TrainConfig):
 def _run_epoch(state: TrainState, tconfig: TrainConfig, utts, label_of,
                cache, step_hook) -> float:
     """One Adam step per batch of random chunks, one chunk per utterance in
-    the epoch's shuffled order; returns the mean step loss."""
+    the epoch's shuffled order; returns the mean step loss. A non-finite
+    loss or parameter gradient is a ValueError naming the epoch and step,
+    raised before Adam touches the weights."""
     rng = _epoch_rng(tconfig.seed, state.epoch)
     chunks = [(sample_chunk(cache(utts[i].utt_id), tconfig.chunk_frames, rng),
                label_of[utts[i].speaker])
@@ -411,12 +451,17 @@ def _run_epoch(state: TrainState, tconfig: TrainConfig, utts, label_of,
         loss.backward()
         grads = {name: p.grad for name, p in state.model.params.items()
                  if p.grad is not None}
+        value = loss.item()
+        bad = ("loss" if not math.isfinite(value) else
+               next((f"gradient of {name}" for name, g in grads.items()
+                     if not np.isfinite(g).all()), None))
+        if bad is not None:
+            raise ValueError(f"epoch {state.epoch} step {len(losses) + 1}: "
+                             f"non-finite {bad}; stopped before the Adam "
+                             "step")
         adam_step(state.model.params, grads, state.adam, state.lr,
                   tconfig.weight_decay)
-        losses.append(loss.item())
-        # release the graph and its intermediate gradients before the
-        # next forward builds a new one
-        del loss
+        losses.append(value)
         if step_hook is not None:
             step_hook(state.epoch, len(losses), state.model)
     return float(np.mean(losses))

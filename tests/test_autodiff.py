@@ -546,6 +546,57 @@ def test_backward_releases_inner_gradients(rng):
     np.testing.assert_allclose(s.grad, 0.5 ** 19 * x.data.sum(), rtol=1e-12)
 
 
+def test_backward_frees_the_graph_behind_the_sweep(rng):
+    """A (16, n) leaf summed to one row, then 20 ops that each save their
+    own row-sized constant: the leaf's (16, n) gradient comes last, when
+    the sweep has freed the 20 ops' arrays, so backward's tracemalloc peak
+    stays within a few rows of what the forward left (the whole graph plus
+    the leaf gradient would be 16 rows over)."""
+    n = 100_000
+    x = Tensor(rng.standard_normal((16, n)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        y = x.sum(axis=0)
+        for k in range(20):
+            y = y * Tensor(np.full(n, 1.0 + k / 64))
+        loss = y.sum()
+        del y
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held > 40 * 8 * n   # 20 outputs and 20 constants
+    assert peak - held < 4 * 8 * n
+    scale = np.prod([1.0 + k / 64 for k in range(20)])
+    np.testing.assert_allclose(x.grad, np.full((16, n), scale), rtol=1e-12)
+
+
+def test_second_backward_raises(rng):
+    x = Tensor(rng.standard_normal(4), requires_grad=True)
+    loss = (x * 2.0).sum()
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, np.full(4, 2.0))
+    with pytest.raises(ValueError, match="earlier backward consumed"):
+        loss.backward()
+    np.testing.assert_array_equal(x.grad, np.full(4, 2.0))
+
+
+def test_consumed_tensor_in_a_new_graph_raises(rng):
+    """An inner node of a graph backward has swept cannot carry gradient
+    into a new graph; leaves can be reused freely."""
+    x = Tensor(rng.standard_normal(4), requires_grad=True)
+    y = x * 3.0
+    y.sum().backward()
+    assert y.requires_grad_path()
+    with pytest.raises(ValueError, match="earlier backward consumed"):
+        (y * y).sum().backward()
+    x.zero_grad()
+    (x * x).sum().backward()
+    np.testing.assert_array_equal(x.grad, 2.0 * x.data)
+
+
 def test_no_grad_blocks_graph(rng):
     x = Tensor(rng.standard_normal(3), requires_grad=True)
     with ad.no_grad():

@@ -1,5 +1,7 @@
 """VGG encoder: shape contracts, locality, parameter gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -206,3 +208,88 @@ def test_extract_runs_float32_close_to_float64_forward(tmp_path):
     assert not np.array_equal(emb, ref)   # the encoder did run in float32
     assert np.max(np.abs(emb - ref)) <= 1e-5 * np.max(np.abs(ref))
     assert all(p.data.dtype == np.float64 for p in model.params.values())
+
+
+def _encode_relu_then_pool(mel, params, config):
+    """encode in the paper's written order, conv-ReLU-conv-ReLU-maxpool."""
+    B, N, F = mel.shape
+    x = Tensor(mel).reshape((B, 1, N, F))
+    for b in range(1, 5):
+        for k in (1, 2):
+            x = ad.relu(ad.conv2d_same(x, params[f"enc.b{b}.conv{k}.w"],
+                                       params[f"enc.b{b}.conv{k}.b"]))
+        x = ad.maxpool2x2(x)
+    x = x.transpose(0, 2, 1, 3)
+    return ad.cast(x.reshape((B, x.shape[1], x.shape[2] * x.shape[3])),
+                   np.float64)
+
+
+def _graph_shapes(root):
+    """Shape of every node reachable from root, one entry per node."""
+    seen, stack, shapes = {id(root)}, [root], []
+    while stack:
+        node = stack.pop()
+        shapes.append(node.shape)
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return shapes
+
+
+def test_encode_equals_the_relu_then_pool_order_bit_for_bit():
+    """At the desk channel plan, in float64, h and every enc.* gradient
+    equal the conv-ReLU-conv-ReLU-maxpool reference bit for bit, and so
+    does the float32 no-grad forward; each block's graph holds three
+    full-resolution nodes (conv1, its ReLU, conv2), not four."""
+    config = enc.EncoderConfig(base_channels=8, n_mels=80)
+    rng = np.random.default_rng(11)
+    mel = rng.standard_normal((2, 48, 80))
+    tgt = rng.standard_normal((2, 3, enc.output_dim(config)))
+    bias = {name: rng.normal(0.0, 0.05, size=p.shape)
+            for name, p in _params(config).items() if name.endswith(".b")}
+    hs, grads = [], []
+    for fn in (enc.encode, _encode_relu_then_pool):
+        params = _params(config, seed=2)
+        for name, b in bias.items():
+            params[name].data = b.copy()
+        h = fn(mel, params, config)
+        if fn is enc.encode:
+            shapes = _graph_shapes(h)
+            for b, (_, cout) in enumerate(config.channel_plan):
+                full = (2, cout, 48 >> b, 80 >> b)
+                assert shapes.count(full) == 3, (b + 1, shapes.count(full))
+        ((h - tgt) ** 2).sum().backward()
+        hs.append(h.data)
+        grads.append({name: p.grad for name, p in params.items()})
+        with ad.no_grad():
+            hs.append(fn(mel.astype(np.float32), params, config).data)
+    np.testing.assert_array_equal(hs[0], hs[2])
+    np.testing.assert_array_equal(hs[1], hs[3])
+    assert hs[1].dtype == np.float64 and not np.array_equal(hs[0], hs[1])
+    assert set(grads[0]) == set(grads[1])
+    for name, g in grads[0].items():
+        np.testing.assert_array_equal(g, grads[1][name], err_msg=name)
+
+
+def test_desk_training_step_peak_memory():
+    """One desk-shaped training step (B=16, 200 x 80 chunks, base_channels
+    8, dmha with 8 heads) peaks under 170 MB of traced allocations: about
+    140 with the graph freed behind the backward sweep and the pooled ReLU,
+    about 207 with the whole graph held until the sweep ends."""
+    config = ModelConfig(encoder=enc.EncoderConfig(base_channels=8, n_mels=80),
+                         pooling_kind="dmha", num_heads=8, hidden=64,
+                         num_speakers=16, s=10.0, m=0.2)
+    model = SpeakerModel(config, seed=0)
+    rng = np.random.default_rng(0)
+    mel = rng.standard_normal((16, 200, 80))
+    labels = rng.integers(0, 16, size=16)
+    tracemalloc.start()
+    try:
+        loss = model.forward(mel, labels=labels, training=True)["loss"]
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(p.grad is not None for p in model.params.values())
+    assert peak < 170e6, f"{peak / 1e6:.1f} MB"

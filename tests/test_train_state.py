@@ -241,3 +241,128 @@ def test_log_is_on_disk_while_training(tiny_corpus, tiny_run_config,
     e, tl, vl, lr = res.log_rows[0]
     assert seen[0][1] == f"{e},{tl:.17g},{vl:.17g},{lr:.17g}"
     assert len(log.read_text().splitlines()) == 3
+
+
+# ---- resume must match the run, checkpoint values must parse -----------------
+
+
+@pytest.mark.parametrize("model_kw, train_kw, message", [
+    ({"s": 30.0, "m": 0.4}, {}, "checkpoint has model.s=5.0, the run has 30.0"),
+    ({"hidden": 32}, {}, "checkpoint has model.hidden=16, the run has 32"),
+    ({}, {"seed": 8}, "checkpoint has train.seed=7, the run has 8"),
+    ({}, {"chunk_frames": 48},
+     "checkpoint has train.chunk_frames=64, the run has 48"),
+    ({}, {"batch_size": 3}, "checkpoint has train.batch_size=4, the run has 3"),
+    ({}, {"weight_decay": 0.0},
+     "checkpoint has train.weight_decay=0.001, the run has 0.0"),
+], ids=["s-m", "hidden", "seed", "chunk_frames", "batch_size",
+        "weight_decay"])
+def test_resume_with_another_config_is_a_value_error(
+        two_epoch_run, tiny_run_config, tmp_path, model_kw, train_kw,
+        message):
+    utts, last = two_epoch_run
+    mc = dataclasses.replace(tiny_run_config.model_config(3), **model_kw)
+    out = tmp_path / "run"
+    with pytest.raises(ValueError) as exc:
+        tr.train(_tiny_train_config(max_epochs=3, **train_kw), utts, mc, out,
+                 resume=last)
+    assert str(exc.value) == f"{last}: {message}"
+    assert not out.exists()
+
+
+def test_resume_with_another_margin_is_a_one_line_cli_error(
+        two_epoch_run, tiny_corpus, capsys, tmp_path):
+    root, _ = tiny_corpus
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("base_channels = 2\nhidden = 16\nheads = 2\n"
+                   "s = 30.0\nm = 0.4\nchunk_frames = 64\nbatch_size = 4\n"
+                   "validation_fraction = 0.0\nseed = 7\n")
+    last = two_epoch_run[1]
+    code = cli.main(["train", "--config", str(cfg),
+                     "--data", str(root / "manifest.tsv"),
+                     "--out-dir", str(tmp_path / "run"),
+                     "--resume", str(last), "--epochs", "3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == (f"error: {last}: checkpoint has model.s=5.0, the run has "
+                   "30.0\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_malformed_model_value_names_the_file_and_the_key(
+        two_epoch_run, tiny_run_config, tiny_corpus, capsys, tmp_path):
+    utts, last = two_epoch_run
+    config, tensors = tr.load_checkpoint(last)
+    config["model.hidden"] = "16x"
+    ckpt = tmp_path / "bad.ckpt"
+    tr.save_checkpoint(ckpt, config, tensors)
+    message = f"{ckpt}: bad model.hidden value '16x'"
+    with pytest.raises(ValueError) as exc:
+        tr.load_model(ckpt)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        tr.train(_tiny_train_config(max_epochs=3), utts,
+                 tiny_run_config.model_config(3), tmp_path / "run",
+                 resume=ckpt)
+    assert str(exc.value) == message
+    assert not (tmp_path / "run").exists()
+    root, _ = tiny_corpus
+    code = cli.main(["extract", "--checkpoint", str(ckpt),
+                     "--data", str(root / "manifest.tsv"),
+                     "--out", str(tmp_path / "emb.txt")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# ---- non-finite guard ---------------------------------------------------------
+
+
+def test_nan_stops_the_run_before_adam_and_keeps_the_last_good_epoch(
+        tiny_corpus, tiny_run_config, tmp_path):
+    """pool.u[0] = NaN after epoch 2's first step: step 2's loss is NaN,
+    the run stops there, and last.ckpt still holds epoch 1, all finite."""
+    _, utts = tiny_corpus
+    out = tmp_path / "run"
+
+    def hook(epoch, step, model):
+        if epoch == 2 and step == 1:
+            model.params["pool.u"].data[0] = np.nan
+
+    with pytest.raises(ValueError) as exc:
+        tr.train(_tiny_train_config(max_epochs=3), utts,
+                 tiny_run_config.model_config(3), out, step_hook=hook)
+    assert str(exc.value).startswith("epoch 2 step 2: non-finite loss")
+    config, tensors = tr.load_checkpoint(out / "last.ckpt")
+    assert config["train.epoch"] == "1"
+    assert all(np.isfinite(t).all() for t in tensors.values())
+    assert len((out / "train_log.csv").read_text().splitlines()) == 2
+
+
+def test_nan_loss_is_a_one_line_cli_error(tiny_corpus, capsys, tmp_path,
+                                          monkeypatch):
+    root, _ = tiny_corpus
+    calls = []
+    forward = tr._forward_batch
+
+    def nan_on_third_step(model, mels, labels, training):
+        loss = forward(model, mels, labels, training)
+        if training:
+            calls.append(1)
+            if len(calls) == 3:
+                return loss * np.nan
+        return loss
+
+    monkeypatch.setattr(tr, "_forward_batch", nan_on_third_step)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("base_channels = 2\nhidden = 16\nheads = 2\n"
+                   "s = 5.0\nm = 0.2\nchunk_frames = 64\nbatch_size = 4\n"
+                   "validation_fraction = 0.0\nseed = 7\n")
+    code = cli.main(["train", "--config", str(cfg),
+                     "--data", str(root / "manifest.tsv"),
+                     "--out-dir", str(tmp_path / "run"), "--epochs", "3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: epoch 2 step 1: non-finite loss")
+    assert err.count("\n") == 1
+    config, _ = tr.load_checkpoint(tmp_path / "run" / "last.ckpt")
+    assert config["train.epoch"] == "1"
