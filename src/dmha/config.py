@@ -4,12 +4,14 @@ CLI flags overriding file values."""
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 from .encoder import EncoderConfig, output_dim
 from .features import FeatureConfig
+from .metrics import text_lines
 from .model import ModelConfig
 from .pooling import pooled_dim
-from .trainer import TrainConfig
+from .trainer import TrainConfig, parse_value
 
 
 @dataclass(frozen=True)
@@ -64,33 +66,25 @@ def _from_fields(cls, cfg: RunConfig):
     return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-
-
-def _parse_value(name: str, raw: str):
-    if name not in _FIELD_TYPES:
-        raise ValueError(f"unknown config key {name!r}")
-    ftype = _FIELD_TYPES[name]
-    if ftype == "int":
-        return int(raw)
-    if ftype == "float":
-        return float(raw)
-    return raw
-
-
 def load_config(path) -> RunConfig:
-    """Read "key = value" lines; '#' starts a comment; blank lines ignored."""
+    """Read "key = value" lines; '#' starts a comment; blank lines ignored.
+    An unknown key or a malformed value is a ValueError naming path:line."""
+    types = get_type_hints(RunConfig)
     overrides = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            overrides[key] = _parse_value(key, raw)
+    for lineno, line in text_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, raw = line.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if key not in types:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            overrides[key] = parse_value(key, types[key], raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return RunConfig(**overrides)
 
 

@@ -33,16 +33,23 @@ class FeatureConfig:
 
 
 def read_wav(path) -> np.ndarray:
-    """Read a 16 kHz 16-bit PCM mono RIFF wav into float64 in [-1, 1]."""
-    with wave.open(str(path), "rb") as wf:
-        if wf.getnchannels() != 1:
-            raise ValueError(f"{path}: expected mono, got {wf.getnchannels()} channels")
-        if wf.getsampwidth() != 2:
-            raise ValueError(f"{path}: expected 16-bit PCM, got {8 * wf.getsampwidth()}-bit")
-        if wf.getframerate() != 16000:
-            raise ValueError(f"{path}: expected 16000 Hz, got {wf.getframerate()} Hz "
-                             "(no resampling)")
-        raw = wf.readframes(wf.getnframes())
+    """Read a 16 kHz 16-bit PCM mono RIFF wav into float64 in [-1, 1]; a
+    file that is not one is a ValueError naming path."""
+    try:
+        with wave.open(str(path), "rb") as wf:
+            if wf.getnchannels() != 1:
+                raise ValueError(f"{path}: expected mono, got {wf.getnchannels()} channels")
+            if wf.getsampwidth() != 2:
+                raise ValueError(f"{path}: expected 16-bit PCM, got {8 * wf.getsampwidth()}-bit")
+            if wf.getframerate() != 16000:
+                raise ValueError(f"{path}: expected 16000 Hz, got {wf.getframerate()} Hz "
+                                 "(no resampling)")
+            raw = wf.readframes(wf.getnframes())
+    except (wave.Error, EOFError) as exc:
+        raise ValueError(f"{path}: not a PCM wav file "
+                         f"({exc or 'truncated header'})") from None
+    if len(raw) % 2:
+        raise ValueError(f"{path}: truncated in the middle of a sample")
     return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
 
@@ -131,5 +138,10 @@ def cmn(m: np.ndarray) -> np.ndarray:
 
 
 def utterance_features(path, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
-    """wav path -> CMN-normalized N x n_mels log-mel matrix."""
-    return cmn(log_mel(read_wav(path), config))
+    """wav path -> CMN-normalized N x n_mels log-mel matrix; audio shorter
+    than one window is a ValueError naming path."""
+    audio = read_wav(path)
+    try:
+        return cmn(log_mel(audio, config))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -25,8 +25,8 @@ class HeadConfig:
     m: float = 0.4
 
     def __post_init__(self):
-        if self.s <= 0:
-            raise ValueError("scale s must be > 0")
+        if not 0 < self.s < np.inf:
+            raise ValueError("scale s must be finite and > 0")
         if not (0 <= self.m < 1):
             raise ValueError("margin m must be in [0, 1)")
         if self.num_speakers < 2:

@@ -83,22 +83,31 @@ def compute_min_dcf(scores, labels, cfg: DcfConfig = DcfConfig()) -> float:
 # ---- trial / score files -----------------------------------------------------
 
 
+def text_lines(path) -> list[tuple[int, str]]:
+    """(line number, line) of each line of a text file; bytes that do not
+    decode are a ValueError naming path."""
+    with open(path) as f:
+        try:
+            return list(enumerate(f, start=1))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not {exc.encoding} text "
+                             f"({exc.reason})") from None
+
+
 def read_trials(path) -> list[Trial]:
     """Trial list: one line per trial, "<label 1|0> <enroll-id> <test-id>"."""
     trials = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected "
-                                 "'<label> <enroll-id> <test-id>'")
-            label, eid, tid = parts
-            if label not in ("0", "1"):
-                raise ValueError(
-                    f"{path}:{lineno}: bad trial label {label!r}")
-            trials.append(Trial(int(label), eid, tid))
+    for lineno, line in text_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{lineno}: expected "
+                             "'<label> <enroll-id> <test-id>'")
+        label, eid, tid = parts
+        if label not in ("0", "1"):
+            raise ValueError(f"{path}:{lineno}: bad trial label {label!r}")
+        trials.append(Trial(int(label), eid, tid))
     if not trials:
         raise ValueError(f"{path}: empty trial list")
     return trials

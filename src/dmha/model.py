@@ -18,6 +18,7 @@ from . import features as feat
 from . import head as hd
 from . import pooling as pl
 from .autodiff import Tensor
+from .metrics import text_lines
 
 
 def param_rng_factory(seed: int):
@@ -101,10 +102,15 @@ class SpeakerModel:
         The encoder runs in float32 (embeddings within about 1e-7 relative
         of float64); everything after it, and the parameters, stay float64.
 
-        Returns (embedding, weights (T, K), head_weights (K,) or None)."""
+        Returns (embedding, weights (T, K), head_weights (K,) or None). An
+        utterance too short for the encoder is a ValueError naming path."""
         mel = feat.utterance_features(path, self.feature_config())
-        with ad.no_grad():
-            out = self.forward(mel[None].astype(np.float32), training=False)
+        try:
+            with ad.no_grad():
+                out = self.forward(mel[None].astype(np.float32),
+                                   training=False)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         hw = out["head_weights"]
         return (out["embedding"].data[0].copy(), out["weights"].data[0],
                 None if hw is None else hw.data[0])
@@ -154,28 +160,29 @@ def write_embeddings(path, embeddings: dict[str, np.ndarray]):
 
 
 def read_embeddings(path) -> dict[str, np.ndarray]:
-    with open(path) as f:
-        header = dict(kv.partition("=")[::2] for kv in f.readline().split())
+    lines = iter(text_lines(path))
+    _, first = next(lines, (1, ""))
+    header = dict(kv.partition("=")[::2] for kv in first.split())
+    try:
+        dim, count = int(header["dim"]), int(header["count"])
+    except (KeyError, ValueError):
+        raise ValueError(f"{path}: expected a 'dim=<d> count=<n>' "
+                         "header line") from None
+    out = {}
+    for lineno, line in lines:
+        parts = line.split()
+        if not parts:
+            continue
+        if parts[0] in out:
+            raise ValueError(f"{path}:{lineno}: duplicate {parts[0]}")
         try:
-            dim, count = int(header["dim"]), int(header["count"])
-        except (KeyError, ValueError):
-            raise ValueError(f"{path}: expected a 'dim=<d> count=<n>' "
-                             "header line") from None
-        out = {}
-        for lineno, line in enumerate(f, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] in out:
-                raise ValueError(f"{path}:{lineno}: duplicate {parts[0]}")
-            try:
-                e = np.array([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if len(e) != dim:
-                raise ValueError(f"{path}:{lineno}: {len(e)} values for "
-                                 f"{parts[0]}, header says dim={dim}")
-            out[parts[0]] = e
+            e = np.array([float(v) for v in parts[1:]])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if len(e) != dim:
+            raise ValueError(f"{path}:{lineno}: {len(e)} values for "
+                             f"{parts[0]}, header says dim={dim}")
+        out[parts[0]] = e
     if len(out) != count:
         raise ValueError(f"{path}: header says count={count}, found "
                          f"{len(out)} embeddings")

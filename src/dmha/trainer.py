@@ -11,13 +11,14 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 
 from . import autodiff as ad
-from . import encoder as enc
 from . import features as feat
+from .metrics import text_lines
 from .model import ModelConfig, SpeakerModel
 
 
@@ -59,18 +60,27 @@ class Utterance:
 
 
 def load_manifest(path) -> list[Utterance]:
-    """Manifest: one line per utterance, "speaker<TAB>utt-id<TAB>wav-path"."""
+    """Manifest: one line per utterance, "speaker<TAB>utt-id<TAB>wav-path".
+    Ids are non-empty and free of whitespace, which separates them in the
+    trial and embedding files; a speaker has no ',', which separates the
+    speakers in a checkpoint."""
     utts = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected "
-                                 "speaker<TAB>utt-id<TAB>wav-path")
-            utts.append(Utterance(*parts))
+    for lineno, line in text_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{lineno}: expected "
+                             "speaker<TAB>utt-id<TAB>wav-path")
+        speaker, utt_id, _ = parts
+        if speaker.split() != [speaker] or "," in speaker:
+            raise ValueError(f"{path}:{lineno}: speaker {speaker!r} is "
+                             "empty or has whitespace or ','")
+        if utt_id.split() != [utt_id]:
+            raise ValueError(f"{path}:{lineno}: utterance id {utt_id!r} is "
+                             "empty or has whitespace")
+        utts.append(Utterance(*parts))
     return utts
 
 
@@ -229,56 +239,53 @@ def load_checkpoint(path):
     return config, tensors
 
 
-def model_config_to_dict(mc: ModelConfig) -> dict:
-    return {
-        "model.base_channels": mc.encoder.base_channels,
-        "model.n_mels": mc.encoder.n_mels,
-        "model.pooling_kind": mc.pooling_kind,
-        "model.num_heads": mc.num_heads,
-        "model.hidden": mc.hidden,
-        "model.num_speakers": mc.num_speakers,
-        "model.s": repr(mc.s),
-        "model.m": repr(mc.m),
-    }
-
-
-def model_config_from_dict(d: dict) -> ModelConfig:
-    """The ModelConfig of a checkpoint's keys: a missing key is a KeyError,
-    a malformed value a ValueError naming the key."""
-
-    def get(key, parse=str):
-        try:
-            return parse(d[key])
-        except ValueError:
-            raise ValueError(f"bad {key} value {d[key]!r}") from None
-
-    return ModelConfig(
-        encoder=enc.EncoderConfig(base_channels=get("model.base_channels", int),
-                                  n_mels=get("model.n_mels", int)),
-        pooling_kind=get("model.pooling_kind"),
-        num_heads=get("model.num_heads", int),
-        hidden=get("model.hidden", int),
-        num_speakers=get("model.num_speakers", int),
-        s=get("model.s", float),
-        m=get("model.m", float),
-    )
-
-
-def _checkpoint_model_config(path, config: dict) -> ModelConfig:
-    """model_config_from_dict, with a missing or malformed key as a
-    ValueError naming path."""
+def parse_value(key: str, ftype: type, raw: str):
+    """raw as ftype (int, float or str); a malformed value is a ValueError
+    naming key. Reads checkpoint model.* values and config files alike."""
     try:
-        return model_config_from_dict(config)
-    except KeyError as exc:
-        raise ValueError(f"{path}: checkpoint lacks {exc.args[0]}") from None
+        return ftype(raw)
+    except ValueError:
+        raise ValueError(f"bad {key} value {raw!r}") from None
+
+
+def _leaf_values(obj) -> dict:
+    """A dataclass's field values, a nested dataclass's in place of it."""
+    out = {}
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        out.update(_leaf_values(v) if is_dataclass(v) else {f.name: v})
+    return out
+
+
+def model_config_to_dict(mc: ModelConfig) -> dict:
+    """The model.* checkpoint keys, which load_model reads back."""
+    return {"model." + k: v for k, v in _leaf_values(mc).items()}
+
+
+def load_model(path, checkpoint=None) -> tuple[SpeakerModel, dict]:
+    """Rebuild a SpeakerModel (and its meta dict) from the checkpoint at
+    path, or from its load_checkpoint() pair when already read: the one
+    route from a checkpoint to a model. Each model.* value is parsed by its
+    field's type; a missing, malformed or invalid one is a ValueError
+    naming path."""
+    config, tensors = checkpoint or load_checkpoint(path)
+
+    def build(cls):  # the inverse of _leaf_values
+        kw = {}
+        for name, ftype in get_type_hints(cls).items():
+            key = "model." + name
+            if is_dataclass(ftype):
+                kw[name] = build(ftype)
+            elif key not in config:
+                raise ValueError(f"checkpoint lacks {key}")
+            else:
+                kw[name] = parse_value(key, ftype, config[key])
+        return cls(**kw)
+
+    try:
+        model = SpeakerModel(build(ModelConfig), seed=0)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def load_model(path) -> tuple[SpeakerModel, dict]:
-    """Rebuild a SpeakerModel (and its meta dict) from a checkpoint."""
-    config, tensors = load_checkpoint(path)
-    model = SpeakerModel(_checkpoint_model_config(path, config), seed=0)
     model.load_state_tensors(tensors, path)
     return model, config
 
@@ -294,7 +301,7 @@ def _run_keys(model_config: ModelConfig, tconfig: TrainConfig) -> dict:
         "train.seed": tconfig.seed,
         "train.chunk_frames": tconfig.chunk_frames,
         "train.batch_size": tconfig.batch_size,
-        "train.weight_decay": repr(tconfig.weight_decay),
+        "train.weight_decay": tconfig.weight_decay,
     })
     return keys
 
@@ -317,8 +324,8 @@ class TrainState:
         config.update({
             "train.epoch": self.epoch,
             "train.step": self.adam.t,
-            "train.lr": repr(self.lr),
-            "train.best_val": repr(self.best_val),
+            "train.lr": self.lr,
+            "train.best_val": self.best_val,
             "train.since_improve": self.since_improve,
             "speakers": ",".join(speakers),
         })
@@ -329,18 +336,17 @@ class TrainState:
         save_checkpoint(path, config, tensors)
 
     @classmethod
-    def load(cls, path, model: SpeakerModel, tconfig: TrainConfig,
+    def load(cls, path, model_config: ModelConfig, tconfig: TrainConfig,
              speakers: list[str]) -> "TrainState":
-        """The state save() wrote to path, loaded into model. A checkpoint
-        without training state, with a malformed model.* value, of other
-        speakers, of another model or run setting (_run_keys), with
-        misshapen Adam moments or with no epoch left to train is a
-        ValueError naming path."""
-        config, tensors = load_checkpoint(path)
-        # the model.* values as save() would write them; a missing or
-        # malformed one is an error naming path
-        config.update(model_config_to_dict(
-            _checkpoint_model_config(path, config)))
+        """The state save() wrote to path, around the model load_model
+        builds from it. A checkpoint that load_model rejects, without
+        training state, of other speakers, of another model or run setting
+        (_run_keys), with misshapen Adam moments or with no epoch left to
+        train is a ValueError naming path."""
+        config, tensors = checkpoint = load_checkpoint(path)
+        model, _ = load_model(path, checkpoint)
+        # the model.* values as save() would write them
+        config.update(model_config_to_dict(model.config))
         try:
             state = cls(model, float(config["train.lr"]),
                         AdamState(t=int(config["train.step"])),
@@ -349,7 +355,7 @@ class TrainState:
                         since_improve=int(config["train.since_improve"]))
             trained_on = config["speakers"].split(",")
             mismatch = [(key, config[key], want) for key, want in
-                        _run_keys(model.config, tconfig).items()
+                        _run_keys(model_config, tconfig).items()
                         if str(config[key]) != str(want)]
         except KeyError as exc:
             raise ValueError(f"{path}: checkpoint has no training state "
@@ -368,7 +374,6 @@ class TrainState:
             raise ValueError(f"{path}: checkpoint is at epoch {state.epoch}, "
                              f"max_epochs {tconfig.max_epochs} leaves "
                              "nothing to train")
-        model.load_state_tensors(tensors, path)
         for name, p in model.params.items():
             for key, moments in (("adam.m.", state.adam.m),
                                  ("adam.v.", state.adam.v)):
@@ -387,7 +392,6 @@ class TrainResult:
     last_path: str
     log_rows: list          # (epoch, train_loss, val_loss, lr)
     anneal_epochs: list
-    speakers: list
     epochs_run: int
 
     @property
@@ -502,10 +506,10 @@ def train(tconfig: TrainConfig, dataset: list[Utterance],
     speakers, train_utts, val_utts = _split_dataset(dataset, tconfig)
     model_config = replace(model_config, num_speakers=len(speakers))
     label_of = {s: i for i, s in enumerate(speakers)}
-    model = SpeakerModel(model_config, seed=tconfig.seed)
-    state = (TrainState(model, tconfig.lr) if resume is None else
-             TrainState.load(resume, model, tconfig, speakers))
-    cache = FeatureCache(dataset, fconfig or model.feature_config())
+    state = (TrainState(SpeakerModel(model_config, seed=tconfig.seed),
+                        tconfig.lr) if resume is None else
+             TrainState.load(resume, model_config, tconfig, speakers))
+    cache = FeatureCache(dataset, fconfig or state.model.feature_config())
     os.makedirs(out_dir, exist_ok=True)
     best_path, last_path, log_path = (os.path.join(out_dir, name) for name in
                                       ("best.ckpt", "last.ckpt",
@@ -516,7 +520,7 @@ def train(tconfig: TrainConfig, dataset: list[Utterance],
         state.epoch = epoch
         train_loss = _run_epoch(state, tconfig, train_utts, label_of, cache,
                                 step_hook)
-        val_loss = (_validate(model, tconfig, val_utts, label_of, cache)
+        val_loss = (_validate(state.model, tconfig, val_utts, label_of, cache)
                     if val_utts else train_loss)
         log_rows.append((state.epoch, train_loss, val_loss, state.lr))
         if val_loss < state.best_val:
@@ -536,4 +540,4 @@ def train(tconfig: TrainConfig, dataset: list[Utterance],
     if not os.path.exists(best_path):
         state.save(best_path, tconfig, speakers)
     return TrainResult(best_path, last_path, log_rows, anneal_epochs,
-                       speakers, epochs_run=state.epoch - start_epoch + 1)
+                       epochs_run=state.epoch - start_epoch + 1)

@@ -5,8 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmha import cli
+from dmha import features as feat
+from dmha import metrics as mt
 from dmha import model as mdl
 from dmha import trainer as tr
 from dmha.config import RunConfig, apply_overrides, load_config
@@ -470,3 +474,118 @@ def test_corrupt_checkpoint_key_block_names_the_file(cli_workspace, capsys,
     assert code == 1
     assert err.startswith(f"error: {ckpt}: corrupt checkpoint")
     assert err.count("\n") == 1
+
+
+# ---- bad input names its file ------------------------------------------------
+
+
+def _extract_manifest(capsys, ws, tmp_path, rows):
+    manifest = tmp_path / "bad.tsv"
+    manifest.write_text("".join("\t".join(row) + "\n" for row in rows))
+    return manifest, _run(capsys, "extract", "--checkpoint", str(ws["ckpt"]),
+                          "--data", str(manifest),
+                          "--out", str(tmp_path / "emb.txt"))
+
+
+@pytest.mark.parametrize("audio, message", [
+    (None, "not a PCM wav file (file does not start with RIFF id)"),
+    ("odd", "truncated in the middle of a sample"),
+    (300, "signal of 300 samples shorter than one window (400 samples)"),
+    # 1 + (2000 - 400) // 160 = 11 frames
+    (2000, "utterance too short for 16x downsampling: 11 frames < 16"),
+], ids=["not-riff", "cut-mid-sample", "under-one-window", "eleven-frames"])
+def test_bad_audio_is_a_one_line_error_naming_the_wav(
+        cli_workspace, capsys, tmp_path, audio, message):
+    wav = tmp_path / "u.wav"
+    if audio is None:
+        wav.write_text("not audio\n")
+    elif audio == "odd":
+        feat.write_wav(wav, np.zeros(4000))
+        wav.write_bytes(wav.read_bytes()[:-1])
+    else:
+        feat.write_wav(wav, np.zeros(audio))
+    _, (code, _, err) = _extract_manifest(capsys, cli_workspace, tmp_path,
+                                          [("spk000", "u0", str(wav))])
+    assert code == 1
+    assert err == f"error: {wav}: {message}\n"
+    assert not (tmp_path / "emb.txt").exists()
+
+
+@pytest.mark.parametrize("speaker, utt_id, message", [
+    ("spk000", "spk000-u000 x",
+     "utterance id 'spk000-u000 x' is empty or has whitespace"),
+    ("spk000", "", "utterance id '' is empty or has whitespace"),
+    ("spk,000", "u0", "speaker 'spk,000' is empty or has whitespace or ','"),
+    ("spk\u2028000", "u0",
+     "speaker 'spk\\u2028000' is empty or has whitespace or ','"),
+], ids=["space-in-utt", "empty-utt", "comma-in-speaker",
+        "separator-in-speaker"])
+def test_manifest_ids_the_formats_cannot_carry_are_rejected(
+        cli_workspace, capsys, tmp_path, speaker, utt_id, message):
+    """Whitespace separates ids in the embedding and trial files, and ','
+    separates the speakers a checkpoint records."""
+    wav = tr.load_manifest(cli_workspace["corpus"] / "manifest.tsv")[0].path
+    manifest, (code, _, err) = _extract_manifest(
+        capsys, cli_workspace, tmp_path,
+        [("spk000", "ok", wav), (speaker, utt_id, wav)])
+    assert code == 1
+    assert err == f"error: {manifest}:2: {message}\n"
+    assert not (tmp_path / "emb.txt").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("heads = x", "bad heads value 'x'"),
+    ("hop = 80", "unknown config key 'hop'"),
+], ids=["bad-value", "unknown-key"])
+def test_config_file_error_names_the_file_and_line(capsys, tmp_path, line,
+                                                   message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# grid point\nseed = 3\n{line}\n")
+    code, _, err = _run(capsys, "synth", "--config", str(cfg),
+                        "--out-dir", str(tmp_path / "corpus"))
+    assert code == 1
+    assert err == f"error: {cfg}:3: {message}\n"
+    assert not (tmp_path / "corpus").exists()
+
+
+@pytest.fixture(scope="module")
+def text_fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("text_fuzz")
+
+
+# pieces of the three formats, plus bytes that are not UTF-8
+_TEXT_PIECES = [b"\t", b"\n", b"\r", b" ", b",", b"=", b"0", b"1", b"2.5",
+                b"nan", b"dim=2", b"count=1", b"dim=", b"spk", b"u0", b"a.wav",
+                b"heads", b"pooling", b"#",
+                b"\xff", b"\xc3", b"\xe2\x80", b"\xc2\x85", b"\xe2\x80\xa8"]
+
+
+@given(reader=st.sampled_from(["load_manifest", "read_trials",
+                               "read_embeddings", "load_config"]),
+       content=st.one_of(st.binary(max_size=64),
+                         st.lists(st.sampled_from(_TEXT_PIECES),
+                                  max_size=40).map(b"".join)))
+@settings(max_examples=300, deadline=None)
+def test_text_readers_parse_or_name_the_file(text_fuzz_dir, reader, content):
+    """Any bytes in a manifest, trial list, embedding file or config file
+    either parse or give a ValueError whose message starts with the path."""
+    read = {"load_manifest": tr.load_manifest, "read_trials": mt.read_trials,
+            "read_embeddings": mdl.read_embeddings,
+            "load_config": load_config}[reader]
+    path = text_fuzz_dir / "input.txt"
+    path.write_bytes(content)
+    try:
+        read(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}:"), exc
+
+
+def test_undecodable_manifest_is_a_one_line_error(cli_workspace, capsys,
+                                                   tmp_path):
+    manifest = tmp_path / "latin1.tsv"
+    manifest.write_bytes(b"spk\xff\tu0\tu0.wav\n")
+    code, _, err = _run(capsys, "extract", "--checkpoint",
+                        str(cli_workspace["ckpt"]), "--data", str(manifest),
+                        "--out", str(tmp_path / "emb.txt"))
+    assert code == 1
+    assert err == f"error: {manifest}: not utf-8 text (invalid start byte)\n"

@@ -314,6 +314,39 @@ def test_malformed_model_value_names_the_file_and_the_key(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("model.n_mels", "50", "n_mels must be divisible by 16, got 50"),
+    ("model.pooling_kind", "foo", "unknown pooling kind 'foo'; choose from"),
+    ("model.num_heads", "3", "head count 3 does not divide dim 80"),
+    ("model.s", "nan", "scale s must be finite and > 0"),
+], ids=["n_mels", "pooling_kind", "num_heads", "s"])
+def test_invalid_model_value_is_one_line_naming_the_file(
+        two_epoch_run, tiny_corpus, capsys, tmp_path, key, value, message):
+    """A well-formed model.* value the model cannot be built with gives the
+    same error line, naming the checkpoint, from extract and from resume."""
+    config, tensors = tr.load_checkpoint(two_epoch_run[1])
+    config[key] = value
+    ckpt = tmp_path / "invalid.ckpt"
+    tr.save_checkpoint(ckpt, config, tensors)
+    manifest = str(tiny_corpus[0] / "manifest.tsv")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("base_channels = 2\nhidden = 16\nheads = 2\n"
+                   "s = 5.0\nm = 0.2\nchunk_frames = 64\nbatch_size = 4\n"
+                   "validation_fraction = 0.0\nseed = 7\n")
+    for argv in (["extract", "--checkpoint", str(ckpt), "--data", manifest,
+                  "--out", str(tmp_path / "emb.txt")],
+                 ["train", "--config", str(cfg), "--data", manifest,
+                  "--out-dir", str(tmp_path / "run"), "--resume", str(ckpt),
+                  "--epochs", "3"]):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1, argv[0]
+        assert err.startswith(f"error: {ckpt}: {message}"), err
+        assert err.count("\n") == 1
+    assert not (tmp_path / "emb.txt").exists()
+    assert not (tmp_path / "run").exists()
+
+
 # ---- non-finite guard ---------------------------------------------------------
 
 
