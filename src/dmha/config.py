@@ -6,11 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
-from .encoder import EncoderConfig, output_dim
+from .encoder import EncoderConfig
 from .features import FeatureConfig
 from .metrics import text_lines
 from .model import ModelConfig
-from .pooling import pooled_dim
 from .trainer import TrainConfig, parse_value
 
 
@@ -39,7 +38,7 @@ class RunConfig:
     train_loss_goal: float = TrainConfig.train_loss_goal
 
     def validate(self) -> "RunConfig":
-        pooled_dim(self.pooling, output_dim(self.encoder_config()), self.heads)
+        self.model_config().head  # the pooling and head checks a run meets
         self.feature_config()
         self.train_config()
         return self

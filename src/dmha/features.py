@@ -44,12 +44,16 @@ def read_wav(path) -> np.ndarray:
             if wf.getframerate() != 16000:
                 raise ValueError(f"{path}: expected 16000 Hz, got {wf.getframerate()} Hz "
                                  "(no resampling)")
-            raw = wf.readframes(wf.getnframes())
+            declared = wf.getnframes()
+            raw = wf.readframes(declared)
     except (wave.Error, EOFError) as exc:
         raise ValueError(f"{path}: not a PCM wav file "
                          f"({exc or 'truncated header'})") from None
     if len(raw) % 2:
         raise ValueError(f"{path}: truncated in the middle of a sample")
+    if len(raw) != 2 * declared:
+        raise ValueError(f"{path}: truncated: {len(raw) // 2} of the "
+                         f"{declared} samples the header declares")
     return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
 

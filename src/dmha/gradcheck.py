@@ -7,6 +7,8 @@ seeds and reports the max relative error.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import autodiff as ad
@@ -18,7 +20,8 @@ from .model import ModelConfig, SpeakerModel
 
 grad_check_sampled = grad_check  # samples coordinates given max_coords
 
-# FD coordinates sampled per parameter tensor of the whole-model check
+# FD coordinates sampled per tensor too large to check whole: each model
+# parameter and the tiled conv rows
 MAX_COORDS_PER_TENSOR = 40
 
 
@@ -29,86 +32,71 @@ def _untie_for_maxpool(x: np.ndarray, rng) -> np.ndarray:
 
 
 def _layer_checks(seed: int):
+    """One (name, input, loss, max_coords) row per layer check; max_coords
+    None checks every coordinate."""
     rng = np.random.default_rng(seed)
     checks = []
 
     a = Tensor(rng.standard_normal((3, 4)))
     b = rng.standard_normal((4, 2))
-    checks.append(("matmul", a, lambda t: (ad.matmul(t, Tensor(b)) ** 2).sum()))
+    checks.append(("matmul", a,
+                   lambda t: (ad.matmul(t, Tensor(b)) ** 2).sum(), None))
 
     x = Tensor(rng.standard_normal((2, 5, 6)))
     w = rng.standard_normal((3, 2, 3, 3))
     checks.append(("conv2d_same.x", x,
-                   lambda t: (ad.conv2d_same(t, Tensor(w)) ** 2).sum()))
-    wt = Tensor(w)
+                   lambda t: (ad.conv2d_same(t, Tensor(w)) ** 2).sum(), None))
     xc = rng.standard_normal((2, 5, 6))
-    checks.append(("conv2d_same.w", wt,
-                   lambda t: (ad.conv2d_same(Tensor(xc), t) ** 2).sum()))
+    checks.append(("conv2d_same.w", Tensor(w),
+                   lambda t: (ad.conv2d_same(Tensor(xc), t) ** 2).sum(), None))
 
     mp = Tensor(_untie_for_maxpool(rng.standard_normal((2, 8, 8)), rng))
-    checks.append(("maxpool2x2", mp, lambda t: (ad.maxpool2x2(t) ** 2).sum()))
+    checks.append(("maxpool2x2", mp,
+                   lambda t: (ad.maxpool2x2(t) ** 2).sum(), None))
 
     z = Tensor(rng.standard_normal((4, 5)))
     tgt = rng.standard_normal((4, 5))
     checks.append(("softmax", z,
-                   lambda t: ((ad.softmax(t, axis=1) - tgt) ** 2).sum()))
+                   lambda t: ((ad.softmax(t, axis=1) - tgt) ** 2).sum(), None))
 
     r = Tensor(rng.standard_normal(10) + 0.05)  # keep away from the kink
-    checks.append(("relu", r, lambda t: (ad.relu(t) ** 2).sum()))
+    checks.append(("relu", r, lambda t: (ad.relu(t) ** 2).sum(), None))
 
     xb = Tensor(rng.standard_normal((6, 4)))
     gamma = Tensor(rng.uniform(0.5, 1.5, 4))
     beta = Tensor(rng.standard_normal(4))
     tgt_b = rng.standard_normal((6, 4))
 
-    def bn_loss(t):
+    def bn_loss(xs, g):
         st = ad.BatchNormState.create(4)
-        return ((ad.batchnorm(t, gamma, beta, st, training=True)
-                 - tgt_b) ** 2).sum()
+        y = ad.batchnorm(xs, g, beta, st, training=True)
+        return ((y - tgt_b) ** 2).sum()
 
-    checks.append(("batchnorm.x", xb, bn_loss))
-    gm = Tensor(rng.uniform(0.5, 1.5, 4))
+    checks.append(("batchnorm.x", xb, lambda t: bn_loss(t, gamma), None))
+    checks.append(("batchnorm.gamma", Tensor(rng.uniform(0.5, 1.5, 4)),
+                   lambda t: bn_loss(Tensor(xb.data), t), None))
 
-    def bn_gamma_loss(t):
-        st = ad.BatchNormState.create(4)
-        return ((ad.batchnorm(Tensor(xb.data), t, beta, st,
-                              training=True) - tgt_b) ** 2).sum()
-
-    checks.append(("batchnorm.gamma", gm, bn_gamma_loss))
-
-    # the three poolings, wrt h and wrt u
+    # the three poolings wrt h, and double MHA wrt u and u_prime
     T, D, K = 5, 8, 2
-    h = rng.standard_normal((T, D))
-    u = rng.standard_normal(D)
-    up = rng.standard_normal(D // K)
+    pool_in = {"h": rng.standard_normal((T, D)), "u": rng.standard_normal(D),
+               "u_prime": rng.standard_normal(D // K)}
     tgt_d = rng.standard_normal(D)
     tgt_k = rng.standard_normal(D // K)
 
-    def attention_loss(t):
-        p = pl.PoolingParams(u=Tensor(u), num_heads=1)
-        return ((pl.self_attention_pool(t, p)[0] - tgt_d) ** 2).sum()
+    def pool_loss(t, kind, wrt):
+        v = {k: Tensor(arr) for k, arr in pool_in.items()} | {wrt: t}
+        p = pl.PoolingParams(v["u"], 1 if kind == "attention" else K,
+                             v["u_prime"])
+        c = pl.pool(v["h"], p, kind)[0]
+        return ((c - (tgt_k if kind == "dmha" else tgt_d)) ** 2).sum()
 
-    def mha_loss(t):
-        p = pl.PoolingParams(u=Tensor(u), num_heads=K)
-        return ((pl.mha_pool(t, p)[0] - tgt_d) ** 2).sum()
-
-    def dmha_loss(t):
-        p = pl.PoolingParams(u=Tensor(u), num_heads=K, u_prime=Tensor(up))
-        return ((pl.double_mha_pool(t, p)[0] - tgt_k) ** 2).sum()
-
-    def dmha_u_loss(t):
-        p = pl.PoolingParams(u=t, num_heads=K, u_prime=Tensor(up))
-        return ((pl.double_mha_pool(Tensor(h), p)[0] - tgt_k) ** 2).sum()
-
-    def dmha_uprime_loss(t):
-        p = pl.PoolingParams(u=Tensor(u), num_heads=K, u_prime=t)
-        return ((pl.double_mha_pool(Tensor(h), p)[0] - tgt_k) ** 2).sum()
-
-    checks.append(("pool.attention", Tensor(h.copy()), attention_loss))
-    checks.append(("pool.mha", Tensor(h.copy()), mha_loss))
-    checks.append(("pool.dmha", Tensor(h.copy()), dmha_loss))
-    checks.append(("pool.dmha.u", Tensor(u.copy()), dmha_u_loss))
-    checks.append(("pool.dmha.u_prime", Tensor(up.copy()), dmha_uprime_loss))
+    for name, kind, wrt in (("pool.attention", "attention", "h"),
+                            ("pool.mha", "mha", "h"),
+                            ("pool.dmha", "dmha", "h"),
+                            ("pool.dmha.u", "dmha", "u"),
+                            ("pool.dmha.u_prime", "dmha", "u_prime")):
+        checks.append((name, Tensor(pool_in[wrt].copy()),
+                       partial(pool_loss, kind=kind, wrt=wrt), None))
 
     # moderate scale keeps all class posteriors above the FD noise floor;
     # the s=30 path is identical code and is covered by an absolute check
@@ -116,7 +104,7 @@ def _layer_checks(seed: int):
     cos = Tensor(rng.uniform(-0.9, 0.9, size=(4, 6)))
     labels = rng.integers(0, 6, size=4)
     checks.append(("am_softmax", cos,
-                   lambda t: am_softmax_loss(t, labels, s=5.0, m=0.2)))
+                   lambda t: am_softmax_loss(t, labels, s=5.0, m=0.2), None))
 
     # batched conv: the rows share one batch-folded buffer, so the input
     # gradient must not leak across them
@@ -124,26 +112,24 @@ def _layer_checks(seed: int):
     wq = Tensor(rng.standard_normal((3, 2, 3, 3)))
     bq = Tensor(rng.standard_normal(3))
     checks.append(("conv2d_same.batch", xq,
-                   lambda t: (ad.conv2d_same(t, wq, bq) ** 2).sum()))
-    return checks
+                   lambda t: (ad.conv2d_same(t, wq, bq) ** 2).sum(), None))
 
-
-def _tiled_conv_checks(seed: int):
-    """Conv on a batch whose folded buffer spans 2.5 column tiles, with the
-    second row starting mid-tile: too large for every coordinate, so
-    run_gradcheck samples MAX_COORDS_PER_TENSOR of them."""
+    # conv on a batch whose folded buffer spans 2.5 column tiles, with the
+    # second row starting mid-tile: too large for every coordinate, so
+    # these rows sample; their inputs come from a fresh stream
     rng = np.random.default_rng(seed)
     Wp = 15
     Hp = -(-5 * ad.TILE // (4 * Wp))
-    x = rng.standard_normal((2, 2, Hp - 2, Wp - 2))
-    w = rng.standard_normal((3, 2, 3, 3))
-    b = Tensor(rng.standard_normal(3))
-    return [
-        ("conv2d_same.tiled", Tensor(x),
-         lambda t: (ad.conv2d_same(t, Tensor(w), b) ** 2).sum()),
-        ("conv2d_same.tiled.w", Tensor(w),
-         lambda t: (ad.conv2d_same(Tensor(x), t, b) ** 2).sum()),
-    ]
+    xt = rng.standard_normal((2, 2, Hp - 2, Wp - 2))
+    wt = rng.standard_normal((3, 2, 3, 3))
+    bt = Tensor(rng.standard_normal(3))
+    checks.append(("conv2d_same.tiled", Tensor(xt),
+                   lambda t: (ad.conv2d_same(t, Tensor(wt), bt) ** 2).sum(),
+                   MAX_COORDS_PER_TENSOR))
+    checks.append(("conv2d_same.tiled.w", Tensor(wt),
+                   lambda t: (ad.conv2d_same(Tensor(xt), t, bt) ** 2).sum(),
+                   MAX_COORDS_PER_TENSOR))
+    return checks
 
 
 def tiny_model_config() -> ModelConfig:
@@ -162,7 +148,9 @@ def full_model_check(seed: int) -> list[tuple[str, float]]:
     # differentiability precondition holds
     for p in model.params.values():
         p.data = p.data + rng.normal(0.0, 0.05, size=p.data.shape)
-    mel = rng.standard_normal((2, 16, 16))
+    # 48 frames leave T=3 after the encoder's 16x downsampling: with T=1 the
+    # time softmax is constant and pool.u has no gradient to check
+    mel = rng.standard_normal((2, 48, 16))
     labels = np.array([0, 1])
 
     results = []
@@ -186,15 +174,10 @@ def run_gradcheck(seeds=(0, 1, 2, 3, 4)) -> list[tuple[str, float]]:
     """Max relative FD error per layer and model parameter over all seeds."""
     worst: dict[str, float] = {}
     for seed in seeds:
-        for name, x, f in _layer_checks(seed):
-            err = grad_check(f, x)
-            worst[name] = max(worst.get(name, 0.0), err)
-        for name, x, f in _tiled_conv_checks(seed):
-            err = grad_check(f, x, max_coords=MAX_COORDS_PER_TENSOR,
-                             rng=np.random.default_rng(seed))
-            worst[name] = max(worst.get(name, 0.0), err)
-    for seed in seeds:
-        for name, err in full_model_check(seed):
+        layer = [(name, grad_check(f, x, max_coords=n,
+                                   rng=np.random.default_rng(seed)))
+                 for name, x, f, n in _layer_checks(seed)]
+        for name, err in layer + full_model_check(seed):
             worst[name] = max(worst.get(name, 0.0), err)
     return sorted(worst.items())
 

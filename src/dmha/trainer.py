@@ -502,6 +502,8 @@ def train(tconfig: TrainConfig, dataset: list[Utterance],
     epoch shuffles and chunk offsets all flow from named sub-streams, and
     epoch streams are keyed by (seed, epoch) so resumed runs replay the
     identical batch sequence; best.ckpt is written when validation improves.
+    fconfig, if given, must be the model's own front-end, the one
+    load_model rebuilds.
     """
     speakers, train_utts, val_utts = _split_dataset(dataset, tconfig)
     model_config = replace(model_config, num_speakers=len(speakers))
@@ -509,7 +511,11 @@ def train(tconfig: TrainConfig, dataset: list[Utterance],
     state = (TrainState(SpeakerModel(model_config, seed=tconfig.seed),
                         tconfig.lr) if resume is None else
              TrainState.load(resume, model_config, tconfig, speakers))
-    cache = FeatureCache(dataset, fconfig or state.model.feature_config())
+    front_end = state.model.feature_config()
+    if fconfig is not None and fconfig != front_end:
+        raise ValueError(f"fconfig {fconfig} does not match the model's "
+                         f"front-end {front_end}")
+    cache = FeatureCache(dataset, front_end)
     os.makedirs(out_dir, exist_ok=True)
     best_path, last_path, log_path = (os.path.join(out_dir, name) for name in
                                       ("best.ckpt", "last.ckpt",

@@ -302,6 +302,15 @@ def test_zero_heads_is_a_config_error():
         RunConfig(heads=0).validate()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("s", float("nan"), "scale s must be finite and > 0"),
+    ("m", 1.5, r"margin m must be in \[0, 1\)"),
+], ids=["nan-scale", "margin-above-one"])
+def test_run_config_validate_checks_the_head(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        replace(RunConfig(), **{field: value}).validate()
+
+
 def test_front_end_keys_other_than_n_mels_are_rejected(tmp_path):
     """The front-end is fixed apart from n_mels, so a config file cannot set
     a hop that extraction would not use."""
@@ -508,6 +517,21 @@ def test_bad_audio_is_a_one_line_error_naming_the_wav(
                                           [("spk000", "u0", str(wav))])
     assert code == 1
     assert err == f"error: {wav}: {message}\n"
+    assert not (tmp_path / "emb.txt").exists()
+
+
+def test_wav_shorter_than_its_header_is_a_one_line_error(
+        cli_workspace, capsys, tmp_path):
+    """A cut on a sample boundary leaves an even byte count, so only the
+    header's frame count shows that samples are missing."""
+    wav = tmp_path / "u.wav"
+    feat.write_wav(wav, np.zeros(4000))
+    wav.write_bytes(wav.read_bytes()[:-1000])
+    _, (code, _, err) = _extract_manifest(capsys, cli_workspace, tmp_path,
+                                          [("spk000", "u0", str(wav))])
+    assert code == 1
+    assert err == (f"error: {wav}: truncated: 3500 of the 4000 samples "
+                   "the header declares\n")
     assert not (tmp_path / "emb.txt").exists()
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dmha import trainer as tr
+from dmha.features import FeatureConfig
 from dmha.autodiff import Tensor
 from dmha.model import SpeakerModel
 
@@ -322,3 +323,16 @@ def test_train_front_end_defaults_to_the_model(tiny_corpus, tmp_path,
     model, _ = tr.load_model(res.best_path)
     assert model.config.encoder.n_mels == 64
     assert model.feature_config() == cfg.feature_config()
+
+
+def test_train_rejects_a_front_end_the_model_was_not_built_for(
+        tiny_corpus, tmp_path, tiny_run_config):
+    """The checkpoint records only the model's n_mels, so a run on another
+    front-end would be extracted with the wrong one."""
+    _, utts = tiny_corpus
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match="does not match the model's"):
+        tr.train(_tiny_train_config(max_epochs=1), utts,
+                 tiny_run_config.model_config(3), out,
+                 fconfig=FeatureConfig(n_mels=32, hop=80))
+    assert not out.exists()
