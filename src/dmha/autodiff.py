@@ -81,18 +81,11 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data.reshape(()))
 
     def zero_grad(self):
         self.grad = None
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # ---- graph -----------------------------------------------------------
 
@@ -149,23 +142,13 @@ class Tensor:
     def __sub__(self, other):
         return add(self, -_wrap(other))
 
-    def __rsub__(self, other):
-        return add(_wrap(other), -self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _wrap(other)
-        return mul(self, power(other, -1.0))
-
     def __pow__(self, p):
         return power(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, idx):
         return tslice(self, idx)
@@ -185,10 +168,6 @@ class Tensor:
 
     def transpose(self, *axes):
         return transpose(self, axes or None)
-
-    @property
-    def T(self):
-        return transpose(self, None)
 
 
 def _consumed(g):
@@ -464,9 +443,10 @@ def _conv_grid(wmat: np.ndarray, f: np.ndarray, Mp: int, Wp: int,
 def conv2d_same(x, w, b=None) -> Tensor:
     """3x3 stride-1 convolution with padding 1 (spatial size preserved).
 
-    x: (C,H,W) or (B,C,H,W); w: (O,C,3,3); optional bias (O,). The output
-    has x's dtype: w and b are cast to it once per call, and their
-    gradients are returned in their own dtype.
+    x: (B,C,H,W), and an unbatched (C,H,W) x runs as a batch of one;
+    w: (O,C,3,3); optional bias (O,). The output has x's dtype: w and b
+    are cast to it once per call, and their gradients are returned in
+    their own dtype.
 
     Layout: the input is padded channel-major and batch-folded, as
     xf = (C, B*(H+2)*(W+2)). Tap (di,dj) of every output pixel is then the
@@ -488,8 +468,9 @@ def conv2d_same(x, w, b=None) -> Tensor:
     the same tiles, gem being the output-grid gradient.
     """
     x, w = _wrap(x), _wrap(w)
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
+    if x.ndim == 3:
+        return conv2d_same(x.reshape((1,) + x.shape), w, b)[0]
+    xd = x.data
     if xd.ndim != 4:
         raise ValueError(f"conv2d_same input must be CHW or BCHW, got {x.shape}")
     if w.ndim != 4 or w.shape[2:] != (3, 3):
@@ -525,7 +506,7 @@ def conv2d_same(x, w, b=None) -> Tensor:
     def bw(g):
         # output-grid pixel j sits at padded column j + Wp + 1, so padding
         # g like the input gives the gather operand and, sliced, the grid
-        gf = _pad_fold(g[None] if squeeze else g, Lp)
+        gf = _pad_fold(g, Lp)
         gem = gf[:, Wp + 1:Wp + 1 + Mp]
         gx = gw = None
         if x.requires_grad_path():
@@ -533,8 +514,6 @@ def conv2d_same(x, w, b=None) -> Tensor:
             gxf = _conv_grid(wflip.reshape(C, 9 * O), gf, Mp, Wp)
             gx = gxf[:, :L].reshape(C, B, Hp, Wp)[:, :, :H, :W]
             gx = gx.transpose(1, 0, 2, 3)
-            if squeeze:
-                gx = gx[0]
         if w.requires_grad_path():
             gwm = np.zeros((9 * C, O), dtype=w.data.dtype)
             for c0, c1, patch in _patches(_pad_fold(xd, Lp), Mp, Wp):
@@ -545,18 +524,20 @@ def conv2d_same(x, w, b=None) -> Tensor:
             grads.append(gem.sum(axis=1, dtype=b.data.dtype))
         return tuple(grads)
 
-    return _make(out[0] if squeeze else out, parents, bw)
+    return _make(out, parents, bw)
 
 
 def maxpool2x2(x) -> Tensor:
     """2x2/2x2 max pooling; odd trailing rows/cols dropped, ties: first wins.
 
-    The forward keeps only the max; the backward routes each window's
-    gradient to the first corner, in row-major window order, that equals
-    it, and gives the other corners g * 0 (a zero, signed like g)."""
+    x: (B,C,H,W); an unbatched (C,H,W) x runs as a batch of one. The
+    forward keeps only the max; the backward routes each window's gradient
+    to the first corner, in row-major window order, that equals it, and
+    gives the other corners g * 0 (a zero, signed like g)."""
     x = _wrap(x)
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
+    if x.ndim == 3:
+        return maxpool2x2(x.reshape((1,) + x.shape))[0]
+    xd = x.data
     if xd.ndim != 4:
         raise ValueError(f"maxpool2x2 input must be CHW or BCHW, got {x.shape}")
     B, C, H, W = xd.shape
@@ -576,18 +557,15 @@ def maxpool2x2(x) -> Tensor:
     np.maximum(out, q[3], out=out)
 
     def bw(g):
-        g4 = g[None] if squeeze else g
         gx = np.zeros_like(xd)
         free = np.ones(out.shape, dtype=bool)   # windows not yet routed
         for qk, gk in zip(q, corners(gx)):
             hit = free & (qk == out)
-            np.multiply(g4, hit, out=gk)   # dense; a masked copy is slower
+            np.multiply(g, hit, out=gk)   # dense; a masked copy is slower
             free ^= hit
-        if squeeze:
-            gx = gx[0]
         return (gx,)
 
-    return _make(out[0] if squeeze else out, (x,), bw)
+    return _make(out, (x,), bw)
 
 
 # ---- batchnorm ------------------------------------------------------------
@@ -599,8 +577,8 @@ class BatchNormState:
 
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
+    momentum = 0.1   # unannotated: class constants, not dataclass fields
+    eps = 1e-5
 
     @classmethod
     def create(cls, num_features: int) -> "BatchNormState":
@@ -637,10 +615,10 @@ def batchnorm(x, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
 
 
 TOLERANCE = 1e-4
+FD_EPS = 1e-5   # the central-difference step
 
 
-def grad_check(f, x: Tensor, eps: float = 1e-5,
-               max_coords: int | None = None, rng=None,
+def grad_check(f, x: Tensor, max_coords: int | None = None, rng=None,
                denom_floor: float = 1e-8) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -648,7 +626,7 @@ def grad_check(f, x: Tensor, eps: float = 1e-5,
     |analytic - numeric| / max(denom_floor, |analytic| + |numeric|), over
     all coordinates or a random max_coords of them (large tensors). Raise
     denom_floor for composite functions whose smallest true gradients sit
-    below the float64 FD noise floor (~1e-11 absolute at eps=1e-5); below
+    below the float64 FD noise floor (~1e-11 absolute at FD_EPS); below
     the floor the check still demands absolute agreement to floor * TOLERANCE.
     """
     xt = Tensor(x.data.copy(), requires_grad=True)
@@ -677,11 +655,11 @@ def grad_check(f, x: Tensor, eps: float = 1e-5,
     errs = []
     for i in idx:
         a = analytic[i]
-        err = rel_err(a, fd(i, eps))
+        err = rel_err(a, fd(i, FD_EPS))
         if err > TOLERANCE:
             # a relu/maxpool kink inside the FD interval breaks the
             # smoothness precondition; a smaller step resolves it
-            err = min(err, rel_err(a, fd(i, eps / 10.0)))
+            err = min(err, rel_err(a, fd(i, FD_EPS / 10.0)))
         errs.append(err)
     # np.max, unlike max(), lets a NaN error through as a failure
     return float(np.max(errs, initial=0.0))

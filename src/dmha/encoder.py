@@ -70,16 +70,15 @@ def init_params(config: EncoderConfig, param_rng) -> dict:
 
 
 def encode(mel, params: dict, config: EncoderConfig) -> Tensor:
-    """Forward the encoder; mel is (N, n_mels) or (B, N, n_mels).
-
-    Returns h as (T, D) or (B, T, D); flatten is channel-major (channel
-    index varies slowest). The layers run in mel's dtype (float32 or
-    float64; the float64 parameters are cast per layer) and h is float64.
+    """Forward the encoder: mel (B, N, n_mels) -> h (B, T, D); an unbatched
+    mel (N, n_mels) runs as a batch of one and gives (T, D). Flatten is
+    channel-major (channel index varies slowest). The layers run in mel's
+    dtype (float32 or float64; the float64 parameters are cast per layer)
+    and h is float64.
     """
     x = mel if isinstance(mel, Tensor) else Tensor(mel)
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x.reshape((1,) + x.shape)
+    if x.ndim == 2:
+        return encode(x.reshape((1,) + x.shape), params, config)[0]
     B, N, F = x.shape
     if F != config.n_mels:
         raise ValueError(f"expected {config.n_mels} mel bins, got {F}")
@@ -96,4 +95,4 @@ def encode(mel, params: dict, config: EncoderConfig) -> Tensor:
     x = x.transpose(0, 2, 1, 3)
     h = ad.cast(x.reshape((B, x.shape[1], x.shape[2] * x.shape[3])),
                 np.float64)
-    return h[0] if squeeze else h
+    return h

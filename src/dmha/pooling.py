@@ -65,15 +65,15 @@ def head_split(h, num_heads: int) -> Tensor:
 
 
 def pool(h, params: PoolingParams, kind: str):
-    """Pool h, (T, D) or (B, T, D), with the given kind.
+    """Pool h, (B, T, D), with the given kind; (T, D) is a batch of one.
 
     Returns (context (.., pooled_dim), weights (.., T, K),
     head_weights (.., K) for dmha, else None).
     """
     h = h if isinstance(h, Tensor) else Tensor(h)
-    squeeze = h.ndim == 2
-    if squeeze:
-        h = h.reshape((1,) + h.shape)
+    if h.ndim == 2:
+        return tuple(t if t is None else t[0]
+                     for t in pool(h.reshape((1,) + h.shape), params, kind))
     B, T, D = h.shape
     K = params.num_heads
     if D != params.u.shape[0]:
@@ -95,8 +95,6 @@ def pool(h, params: PoolingParams, kind: str):
         c = (c * wp.reshape((B, K, 1))).sum(axis=1)          # (B,dh)
     else:
         c = c.reshape((B, D))
-    if squeeze:
-        return c[0], w[0], None if wp is None else wp[0]
     return c, w, wp
 
 

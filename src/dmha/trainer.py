@@ -61,10 +61,10 @@ class Utterance:
 
 def load_manifest(path) -> list[Utterance]:
     """Manifest: one line per utterance, "speaker<TAB>utt-id<TAB>wav-path".
-    Ids are non-empty and free of whitespace, which separates them in the
-    trial and embedding files; a speaker has no ',', which separates the
-    speakers in a checkpoint."""
-    utts = []
+    Ids are unique, non-empty and free of whitespace, which separates them
+    in the trial and embedding files; a speaker has no ',', which separates
+    the speakers in a checkpoint."""
+    utts, seen = [], set()
     for lineno, line in text_lines(path):
         line = line.rstrip("\n")
         if not line:
@@ -80,23 +80,23 @@ def load_manifest(path) -> list[Utterance]:
         if utt_id.split() != [utt_id]:
             raise ValueError(f"{path}:{lineno}: utterance id {utt_id!r} is "
                              "empty or has whitespace")
+        if utt_id in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate utterance id "
+                             f"{utt_id}")
+        seen.add(utt_id)
         utts.append(Utterance(*parts))
     return utts
 
 
-class FeatureCache:
-    """Lazy per-utterance CMN log-mel features keyed by utterance id."""
+class FeatureCache(dict):
+    """CMN log-mel features keyed by utterance id, all read up front, so a
+    bad wav stops training before it writes anything."""
 
     def __init__(self, utterances, fconfig: feat.FeatureConfig):
-        self.by_id = {u.utt_id: u for u in utterances}
-        self.fconfig = fconfig
-        self._cache: dict[str, np.ndarray] = {}
+        super().__init__((u.utt_id, feat.utterance_features(u.path, fconfig))
+                         for u in utterances)
 
-    def __call__(self, utt_id: str) -> np.ndarray:
-        if utt_id not in self._cache:
-            self._cache[utt_id] = feat.utterance_features(
-                self.by_id[utt_id].path, self.fconfig)
-        return self._cache[utt_id]
+    __call__ = dict.__getitem__
 
 
 # ---- chunking / optimizer ----------------------------------------------------

@@ -324,6 +324,24 @@ def test_maxpool_tie_first_wins():
     np.testing.assert_array_equal(x.grad, expected)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_maxpool_unbatched_is_a_batch_of_one(rng, dtype):
+    """A CHW input gives the bits of the same input as a (1, C, H, W) batch,
+    values and input gradient; rounding makes ties and signed zeros."""
+    x = np.round(rng.standard_normal((3, 6, 7)) * 2).astype(dtype)
+    g = rng.standard_normal((3, 3, 3))
+    outs, grads = [], []
+    for xin in (x, x[None]):
+        t = Tensor(xin, requires_grad=True)
+        out = ad.maxpool2x2(t)
+        (out * g.reshape(out.shape)).sum().backward()
+        outs.append(out.data)
+        grads.append(t.grad)
+    assert outs[0].dtype == outs[1].dtype == grads[0].dtype == dtype
+    np.testing.assert_array_equal(outs[0], outs[1][0])
+    np.testing.assert_array_equal(grads[0], grads[1][0])
+
+
 def _maxpool_oracle(x):
     """Window argmax (first of tied maxima wins) and its gradient scatter."""
     B, C, H, W = x.shape

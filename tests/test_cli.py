@@ -140,6 +140,35 @@ def test_eval_on_frozen_score_fixture(capsys, tmp_path):
     assert "eer=0.333333333" in out
 
 
+def test_eval_scores_out_writes_what_score_writes(capsys, tmp_path):
+    rng = np.random.default_rng(3)
+    emb = tmp_path / "emb.txt"
+    mdl.write_embeddings(emb, {f"u{i}": rng.standard_normal(4)
+                               for i in range(5)})
+    trials = tmp_path / "trials.txt"
+    trials.write_text("1 u0 u1\n0 u0 u2\n1 u3 u4\n0 u1 u4\n")
+    code, _, _ = _run(capsys, "score", "--embeddings", str(emb),
+                      "--trials", str(trials),
+                      "--out", str(tmp_path / "score.txt"))
+    assert code == 0
+    code, out, _ = _run(capsys, "eval", "--embeddings", str(emb),
+                        "--trials", str(trials),
+                        "--scores-out", str(tmp_path / "eval.txt"))
+    assert code == 0 and out.startswith("trials=4 EER=")
+    assert ((tmp_path / "eval.txt").read_bytes()
+            == (tmp_path / "score.txt").read_bytes())
+
+
+def test_eval_without_embeddings_or_checkpoint_is_a_one_line_error(
+        capsys, tmp_path):
+    trials = tmp_path / "trials.txt"
+    trials.write_text("1 u0 u1\n")
+    code, out, err = _run(capsys, "eval", "--trials", str(trials))
+    assert code == 1 and out == ""
+    assert err == ("error: eval needs --embeddings or --checkpoint with "
+                   "--data\n")
+
+
 def test_dmha_heads1_equals_attention_end_to_end(cli_workspace, capsys,
                                                  tmp_path):
     """K=1 equivalence surfaces through the whole pipeline: training the
@@ -555,6 +584,47 @@ def test_manifest_ids_the_formats_cannot_carry_are_rejected(
     assert code == 1
     assert err == f"error: {manifest}:2: {message}\n"
     assert not (tmp_path / "emb.txt").exists()
+
+
+def test_repeated_utterance_id_is_a_one_line_error(cli_workspace, capsys,
+                                                  tmp_path):
+    """One id for two wavs would train one of them twice and never read
+    the other, and extract would write one embedding for the two."""
+    ws = cli_workspace
+    rows = [(u.speaker, u.utt_id, u.path)
+            for u in tr.load_manifest(ws["corpus"] / "manifest.tsv")]
+    rows[1] = (rows[1][0], rows[0][1], rows[1][2])
+    manifest, (code, _, err) = _extract_manifest(capsys, ws, tmp_path, rows)
+    message = f"error: {manifest}:2: duplicate utterance id {rows[0][1]}\n"
+    assert code == 1 and err == message
+    assert not (tmp_path / "emb.txt").exists()
+    code, _, err = _run(capsys, "train", "--config", str(ws["cfg"]),
+                        "--data", str(manifest),
+                        "--out-dir", str(tmp_path / "run"), "--epochs", "1")
+    assert code == 1 and err == message
+    assert not (tmp_path / "run").exists()
+
+
+def test_bad_wav_stops_training_before_the_out_dir(cli_workspace, capsys,
+                                                   tmp_path):
+    """Training reads every wav before it makes the out-dir, so a bad one
+    leaves nothing behind."""
+    ws = cli_workspace
+    bad = tmp_path / "bad.wav"
+    bad.write_text("not audio\n")
+    rows = [(u.speaker, u.utt_id, str(bad) if i == 4 else u.path)
+            for i, u in enumerate(tr.load_manifest(ws["corpus"]
+                                                   / "manifest.tsv"))]
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("".join("\t".join(row) + "\n" for row in rows))
+    run = tmp_path / "run"
+    code, _, err = _run(capsys, "train", "--config", str(ws["cfg"]),
+                        "--data", str(manifest), "--out-dir", str(run),
+                        "--epochs", "1")
+    assert code == 1
+    assert err == (f"error: {bad}: not a PCM wav file (file does not start "
+                   "with RIFF id)\n")
+    assert not run.exists()
 
 
 @pytest.mark.parametrize("line, message", [

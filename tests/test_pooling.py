@@ -297,6 +297,33 @@ def test_pooling_gradients(rng):
     assert grad_check(loss_dmha_u, Tensor(u.copy())) <= 1e-4
 
 
+@pytest.mark.parametrize("kind, K", [("attention", 1), ("mha", 2),
+                                     ("dmha", 2)])
+def test_unbatched_pool_is_a_batch_of_one(rng, kind, K):
+    """(T, D) gives the bits of the same h as a (1, T, D) batch: c, w and
+    wp, and the gradients with respect to h, u and u_prime."""
+    T, D = 5, 8
+    h, u, up = (rng.standard_normal(n) for n in ((T, D), D, D // K))
+    gc, gw, gwp = (rng.standard_normal(n)
+                   for n in (pl.pooled_dim(kind, D, K), (T, K), K))
+    runs = []
+    for hin in (h, h[None]):
+        th = Tensor(hin, requires_grad=True)
+        p = pl.PoolingParams(
+            u=Tensor(u, requires_grad=True), num_heads=K,
+            u_prime=Tensor(up, requires_grad=True) if kind == "dmha" else None)
+        out = pl.pool(th, p, kind)
+        sum((t * g.reshape(t.shape)).sum()
+            for t, g in zip(out, (gc, gw, gwp)) if t is not None).backward()
+        runs.append([t.data for t in out if t is not None]
+                    + [th.grad, p.u.grad]
+                    + ([p.u_prime.grad] if kind == "dmha" else []))
+    unbatched, batched = runs
+    assert len(unbatched) == len(batched) == (6 if kind == "dmha" else 4)
+    for a, b in zip(unbatched, batched):
+        np.testing.assert_array_equal(a, b.reshape(a.shape))
+
+
 def test_init_params_shapes_and_streams():
     from dmha.model import param_rng_factory
     p = pl.init_params(8, 2, "dmha", param_rng_factory(0))
