@@ -10,8 +10,10 @@ otherwise (Python scalars included). conv2d_same, relu and maxpool2x2 keep
 their input's dtype; the conv casts its float64 weight and bias to it once
 per call. A gradient takes the dtype of the tensor it flows into, so
 parameter gradients are float64 whatever the activations. Training,
-validation and the gradient check run in float64; embedding extraction
-runs the encoder in float32 (see model.SpeakerModel.extract).
+validation and embedding extraction run the encoder in float32 (see
+trainer.FeatureCache and model.SpeakerModel.extract); parameters, their
+gradients, Adam, BN, pooling, the head, the loss, checkpoints and the
+gradient check stay float64.
 
 The conv is a column-tiled im2col GEMM on a channel-major, batch-folded
 padded buffer (C, B*(H+2)*(W+2)): each of the nine taps is a column slice

@@ -54,26 +54,37 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _extract_embeddings(checkpoint, manifest):
+def _extract_embeddings(checkpoint, utts):
     model, _ = tr.load_model(checkpoint)
     embeddings = {}
     weights = {}
-    for u in tr.load_manifest(manifest):
+    for u in utts:
         emb, w, hw = model.extract(u.path)
         embeddings[u.utt_id] = emb
         weights[u.utt_id] = (w, hw)
     return embeddings, weights
 
 
+def _dump_path(manifest, dump_dir, uid):
+    """uid's weight-dump path under dump_dir; an id with '/' gets
+    subdirectories, and one that would leave dump_dir is a ValueError."""
+    rel = os.path.normpath(uid + ".weights")
+    if os.path.isabs(rel) or rel.split(os.sep)[0] == os.pardir:
+        raise ValueError(f"{manifest}: utterance id {uid} would put its "
+                         f"weight dump outside {dump_dir}")
+    return os.path.join(dump_dir, rel)
+
+
 def cmd_extract(args) -> int:
-    embeddings, weights = _extract_embeddings(args.checkpoint, args.data)
+    utts = tr.load_manifest(args.data)
+    dumps = ({u.utt_id: _dump_path(args.data, args.dump_weights, u.utt_id)
+              for u in utts} if args.dump_weights else {})
+    embeddings, weights = _extract_embeddings(args.checkpoint, utts)
     mdl.write_embeddings(args.out, embeddings)
-    if args.dump_weights:
-        os.makedirs(args.dump_weights, exist_ok=True)
-        for uid, (w, hw) in weights.items():
-            with open(os.path.join(args.dump_weights, uid + ".weights"),
-                      "w") as f:
-                f.write(pl.format_weights(w, hw))
+    for uid, path in dumps.items():
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as f:
+            f.write(pl.format_weights(*weights[uid]))
     print(f"wrote {len(embeddings)} embeddings to {args.out}")
     return 0
 
@@ -94,7 +105,8 @@ def cmd_eval(args) -> int:
     else:
         if not (args.checkpoint and args.data):
             raise ValueError("eval needs --embeddings or --checkpoint with --data")
-        embeddings, _ = _extract_embeddings(args.checkpoint, args.data)
+        embeddings, _ = _extract_embeddings(args.checkpoint,
+                                            tr.load_manifest(args.data))
     report = mt.evaluate_trials(trials, embeddings)
     if args.scores_out:
         mt.write_scores(args.scores_out, trials)

@@ -90,11 +90,18 @@ def load_manifest(path) -> list[Utterance]:
 
 class FeatureCache(dict):
     """CMN log-mel features keyed by utterance id, all read up front, so a
-    bad wav stops training before it writes anything."""
+    bad wav stops training before it writes anything.
+
+    The features are stored as float32, so training and validation chunks
+    run the encoder in float32. Parameters, their gradients, Adam, BN,
+    pooling, the head, the loss, checkpoints and the gradient check stay
+    float64 (see autodiff's dtype policy)."""
 
     def __init__(self, utterances, fconfig: feat.FeatureConfig):
-        super().__init__((u.utt_id, feat.utterance_features(u.path, fconfig))
-                         for u in utterances)
+        super().__init__(
+            (u.utt_id,
+             feat.utterance_features(u.path, fconfig).astype(np.float32))
+            for u in utterances)
 
     __call__ = dict.__getitem__
 

@@ -683,3 +683,43 @@ def test_undecodable_manifest_is_a_one_line_error(cli_workspace, capsys,
                         "--out", str(tmp_path / "emb.txt"))
     assert code == 1
     assert err == f"error: {manifest}: not utf-8 text (invalid start byte)\n"
+
+
+# ---- weight dumps stay in their directory ----------------------------------------
+
+
+def _extract_dumps(capsys, ws, tmp_path, utt_id):
+    wav = tr.load_manifest(ws["corpus"] / "manifest.tsv")[0].path
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text(f"spk000\t{utt_id}\t{wav}\n")
+    return manifest, _run(capsys, "extract", "--checkpoint", str(ws["ckpt"]),
+                          "--data", str(manifest),
+                          "--out", str(tmp_path / "emb.txt"),
+                          "--dump-weights", str(tmp_path / "w" / "dumps"))
+
+
+@pytest.mark.parametrize("utt_id", ["../escaped", "a/../../escaped", None],
+                         ids=["parent", "parent-inside", "absolute"])
+def test_dump_outside_the_dump_dir_is_a_one_line_error(cli_workspace, capsys,
+                                                       tmp_path, utt_id):
+    """Nothing is written: not the embeddings, not any dump."""
+    utt_id = utt_id or str(tmp_path / "w" / "escaped")
+    manifest, (code, _, err) = _extract_dumps(capsys, cli_workspace,
+                                              tmp_path, utt_id)
+    assert code == 1
+    assert err.startswith(f"error: {manifest}: utterance id {utt_id} ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "emb.txt").exists()
+    assert not (tmp_path / "w").exists()
+
+
+def test_dump_of_an_id_with_slashes_goes_to_subdirectories(
+        cli_workspace, capsys, tmp_path):
+    """VoxCeleb-style ids hold '/', so the dump path gets subdirectories."""
+    _, (code, out, err) = _extract_dumps(capsys, cli_workspace, tmp_path,
+                                         "id10001/1zcIwhmdeo4/00001")
+    assert code == 0 and err == "" and "wrote 1 embeddings" in out
+    dump = tmp_path / "w" / "dumps" / "id10001" / "1zcIwhmdeo4"
+    assert [p.name for p in dump.iterdir()] == ["00001.weights"]
+    assert "id10001/1zcIwhmdeo4/00001" in mdl.read_embeddings(
+        tmp_path / "emb.txt")

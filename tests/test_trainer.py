@@ -6,6 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from dmha import autodiff as ad
+from dmha import features as feat
 from dmha import trainer as tr
 from dmha.features import FeatureConfig
 from dmha.autodiff import Tensor
@@ -336,3 +338,46 @@ def test_train_rejects_a_front_end_the_model_was_not_built_for(
                  tiny_run_config.model_config(3), out,
                  fconfig=FeatureConfig(n_mels=32, hop=80))
     assert not out.exists()
+
+
+# ---- float32 encoder in training ------------------------------------------------
+
+
+def test_feature_cache_holds_float32_features(tiny_corpus, tiny_run_config):
+    _, utts = tiny_corpus
+    fconfig = tiny_run_config.feature_config()
+    cache = tr.FeatureCache(utts[:2], fconfig)
+    for u in utts[:2]:
+        assert cache[u.utt_id].dtype == np.float32
+        np.testing.assert_array_equal(
+            cache[u.utt_id],
+            feat.utterance_features(u.path, fconfig).astype(np.float32))
+
+
+def test_training_runs_the_conv_in_float32_with_float64_parameters(
+        tiny_corpus, tmp_path, tiny_run_config, monkeypatch):
+    """Every conv input, in the training steps and in validation, is
+    float32; every parameter and its gradient stays float64."""
+    _, utts = tiny_corpus
+    conv = ad.conv2d_same
+    seen = []  # (graph enabled, conv input dtype) per call
+
+    def spy(x, w, b):
+        seen.append((ad._grad_enabled, x.data.dtype))
+        return conv(x, w, b)
+
+    monkeypatch.setattr(ad, "conv2d_same", spy)
+    steps = []
+
+    def hook(epoch, step, model):
+        steps.append(step)
+        for name, p in model.params.items():
+            assert p.data.dtype == np.float64, name
+            assert p.grad is not None and p.grad.dtype == np.float64, name
+
+    tr.train(_tiny_train_config(max_epochs=1, validation_fraction=0.34),
+             utts, tiny_run_config.model_config(3), tmp_path,
+             step_hook=hook)
+    assert steps == [1, 2]  # 6 training chunks in batches of 4 and 2
+    assert {grad for grad, _ in seen} == {True, False}
+    assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}
