@@ -15,6 +15,11 @@ trainer.FeatureCache and model.SpeakerModel.extract); parameters, their
 gradients, Adam, BN, pooling, the head, the loss, checkpoints and the
 gradient check stay float64.
 
+relu_ is relu in place: it writes max(a, 0) into a's buffer, so a and the
+ReLU node share it, and its backward is relu's. It is for a fresh
+intermediate whose value no backward reads; the caller states why that
+holds, and a tensor with requires_grad=True is refused.
+
 The conv is a column-tiled im2col GEMM on a channel-major, batch-folded
 padded buffer (C, B*(H+2)*(W+2)): each of the nine taps is a column slice
 of that buffer, shifted by the tap's offset. One tile of TILE output
@@ -282,14 +287,27 @@ def log(a) -> Tensor:
     return _make(np.log(a.data), (a,), bw)
 
 
+def _relu_node(a: Tensor, out: np.ndarray) -> Tensor:
+    """The node of out = max(a, 0); the one ReLU backward for relu and
+    relu_."""
+    return _make(out, (a,), lambda g: (g * (out > 0),))
+
+
 def relu(a) -> Tensor:
     a = _wrap(a)
-    out = np.maximum(a.data, 0)
+    return _relu_node(a, np.maximum(a.data, 0))
 
-    def bw(g):
-        return (g * (out > 0),)
 
-    return _make(out, (a,), bw)
+def relu_(a: Tensor) -> Tensor:
+    """relu written into a's own buffer, which becomes the node's value, so
+    the graph holds one copy of the map where relu holds two. a must be a
+    fresh intermediate whose value no backward reads (a conv output, say).
+    A tensor with requires_grad=True is refused, since its caller still
+    reads it; only a itself is checked, not a tensor a is a view of (a
+    reshape of a parameter, say)."""
+    if a.requires_grad:
+        raise ValueError("relu_ would overwrite a tensor that requires grad")
+    return _relu_node(a, np.maximum(a.data, 0, out=a.data))
 
 
 def cast(a, dtype) -> Tensor:

@@ -22,10 +22,22 @@ _FLAG_FIELDS = {"seed": "seed", "pooling": "pooling", "heads": "heads",
 
 
 def _load_run_config(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    return apply_overrides(cfg, **{
-        field: getattr(args, flag, None)
-        for flag, field in _FLAG_FIELDS.items()}).validate()
+    """The --config file (or the defaults) with the flags applied. A
+    setting that fails validation names the file and the flags that
+    overrode it, since the failing value may come from either."""
+    flags = {flag: getattr(args, flag, None) for flag in _FLAG_FIELDS}
+    cfg = apply_overrides(load_config(args.config) if args.config
+                          else RunConfig(),
+                          **{_FLAG_FIELDS[f]: v for f, v in flags.items()})
+    try:
+        return cfg.validate()
+    except ValueError as exc:
+        if not args.config:
+            raise
+        given = ", ".join(f"--{f.replace('_', '-')} {v}"
+                          for f, v in flags.items() if v is not None)
+        where = f" (overridden by {given})" if given else ""
+        raise ValueError(f"{args.config}{where}: {exc}") from None
 
 
 def cmd_synth(args) -> int:
@@ -65,20 +77,38 @@ def _extract_embeddings(checkpoint, utts):
     return embeddings, weights
 
 
-def _dump_path(manifest, dump_dir, uid):
-    """uid's weight-dump path under dump_dir; an id with '/' gets
-    subdirectories, and one that would leave dump_dir is a ValueError."""
-    rel = os.path.normpath(uid + ".weights")
-    if os.path.isabs(rel) or rel.split(os.sep)[0] == os.pardir:
-        raise ValueError(f"{manifest}: utterance id {uid} would put its "
-                         f"weight dump outside {dump_dir}")
-    return os.path.join(dump_dir, rel)
+def _dump_paths(manifest, dump_dir, uids) -> dict:
+    """Each uid's weight-dump path under dump_dir; an id with '/' gets
+    subdirectories. An id whose dump would leave dump_dir, or two ids that
+    need one path (as both their dumps, or as one's dump and the other's
+    directory), are a ValueError."""
+    def clash(a, b, rel):
+        return ValueError(f"{manifest}: utterance ids {a} and {b} both need "
+                          f"{os.path.join(dump_dir, rel)} for their weight "
+                          f"dumps")
+
+    owner = {}   # normalised path under dump_dir -> the id whose dump it is
+    for uid in uids:
+        rel = os.path.normpath(uid + ".weights")
+        if os.path.isabs(rel) or rel.split(os.sep)[0] == os.pardir:
+            raise ValueError(f"{manifest}: utterance id {uid} would put its "
+                             f"weight dump outside {dump_dir}")
+        if rel in owner:
+            raise clash(owner[rel], uid, rel)
+        owner[rel] = uid
+    for rel, uid in owner.items():
+        parts = rel.split(os.sep)
+        for d in (os.path.join(*parts[:i]) for i in range(1, len(parts))):
+            if d in owner:
+                raise clash(owner[d], uid, d)
+    return {uid: os.path.join(dump_dir, rel) for rel, uid in owner.items()}
 
 
 def cmd_extract(args) -> int:
     utts = tr.load_manifest(args.data)
-    dumps = ({u.utt_id: _dump_path(args.data, args.dump_weights, u.utt_id)
-              for u in utts} if args.dump_weights else {})
+    dumps = (_dump_paths(args.data, args.dump_weights,
+                         [u.utt_id for u in utts])
+             if args.dump_weights else {})
     embeddings, weights = _extract_embeddings(args.checkpoint, utts)
     mdl.write_embeddings(args.out, embeddings)
     for uid, path in dumps.items():

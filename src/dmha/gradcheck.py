@@ -61,6 +61,9 @@ def _layer_checks(seed: int):
 
     r = Tensor(rng.standard_normal(10) + 0.05)  # keep away from the kink
     checks.append(("relu", r, lambda t: (ad.relu(t) ** 2).sum(), None))
+    # in place on a fresh intermediate; r again, so no rows after it move
+    checks.append(("relu_", r, lambda t: (ad.relu_(t * 1.0) ** 2).sum(),
+                   None))
 
     xb = Tensor(rng.standard_normal((6, 4)))
     gamma = Tensor(rng.uniform(0.5, 1.5, 4))

@@ -444,6 +444,34 @@ def test_relu_float32_values_and_gradient():
     np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0, 3.0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_in_place_matches_relu_bit_for_bit(rng, dtype):
+    """On a fresh intermediate, relu_ gives relu's values and input
+    gradient bit for bit, in the intermediate's own buffer."""
+    x0 = rng.standard_normal((3, 5)).astype(dtype)
+    x0[0, :2] = 0.0   # the kink: relu's gradient there is 0
+    g = rng.standard_normal((3, 5)).astype(dtype)
+    outs, grads = [], []
+    for fn in (ad.relu, ad.relu_):
+        x = Tensor(x0.copy(), requires_grad=True)
+        mid = ad.scale(x, 1.0)
+        out = fn(mid)
+        assert np.shares_memory(out.data, mid.data) == (fn is ad.relu_)
+        (out * Tensor(g)).sum().backward()
+        outs.append(out.data)
+        grads.append(x.grad)
+    assert outs[1].dtype == dtype
+    np.testing.assert_array_equal(outs[0], outs[1])
+    np.testing.assert_array_equal(grads[0], grads[1])
+
+
+def test_relu_in_place_refuses_a_leaf():
+    x = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
+    with pytest.raises(ValueError, match="requires grad"):
+        ad.relu_(x)
+    np.testing.assert_array_equal(x.data, [-1.0, 2.0])
+
+
 def test_tensor_dtype_policy():
     assert Tensor(np.ones(2, dtype=np.float32)).data.dtype == np.float32
     for data in (1, 2.5, [1, 2], np.ones(2, dtype=np.int64),

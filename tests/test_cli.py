@@ -723,3 +723,48 @@ def test_dump_of_an_id_with_slashes_goes_to_subdirectories(
     assert [p.name for p in dump.iterdir()] == ["00001.weights"]
     assert "id10001/1zcIwhmdeo4/00001" in mdl.read_embeddings(
         tmp_path / "emb.txt")
+
+
+@pytest.mark.parametrize("ids, named, shared", [
+    (("a/b", "a/./b"), "a/b and a/./b", "a/b.weights"),
+    (("x", "x.weights/y"), "x and x.weights/y", "x.weights"),
+    (("x.weights/y", "x"), "x and x.weights/y", "x.weights"),
+], ids=["same-file", "file-then-directory", "directory-then-file"])
+def test_dump_path_collisions_are_a_one_line_error(cli_workspace, capsys,
+                                                   tmp_path, ids, named,
+                                                   shared):
+    """Two ids that normalise to one dump, or whose dumps need one path as
+    a file and as a directory, stop extract before anything is written.
+    The error names the id whose dump is the shared path first."""
+    wav = tr.load_manifest(cli_workspace["corpus"] / "manifest.tsv")[0].path
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("".join(f"spk000\t{uid}\t{wav}\n" for uid in ids))
+    dump_dir = tmp_path / "w"
+    code, _, err = _run(capsys, "extract", "--checkpoint",
+                        str(cli_workspace["ckpt"]), "--data", str(manifest),
+                        "--out", str(tmp_path / "emb.txt"),
+                        "--dump-weights", str(dump_dir))
+    assert code == 1
+    assert err == (f"error: {manifest}: utterance ids {named} both need "
+                   f"{dump_dir / shared} for their weight dumps\n")
+    assert not (tmp_path / "emb.txt").exists()
+    assert not dump_dir.exists()
+
+
+def test_config_error_names_the_file_and_the_overriding_flags(capsys,
+                                                              tmp_path):
+    """A setting that fails validation may come from the file or from a
+    flag, so the error names the file and lists the flags given."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("heads = 0\n")
+    code, _, err = _run(capsys, "synth", "--config", str(cfg),
+                        "--out-dir", str(tmp_path / "x"))
+    assert code == 1
+    assert err == f"error: {cfg}: head count 0 does not divide dim 5120\n"
+    code, _, err = _run(capsys, "train", "--config", str(cfg), "--data",
+                        str(tmp_path / "m.tsv"), "--heads", "3", "--lr",
+                        "0.5")
+    assert code == 1
+    assert err == (f"error: {cfg} (overridden by --heads 3, --lr 0.5): "
+                   f"head count 3 does not divide dim 5120\n")
+    assert not (tmp_path / "x").exists()

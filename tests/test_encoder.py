@@ -272,6 +272,30 @@ def test_encode_equals_the_relu_then_pool_order_bit_for_bit():
         np.testing.assert_array_equal(g, grads[1][name], err_msg=name)
 
 
+def test_encode_holds_each_rectified_map_once():
+    """In a training-mode encode, each block's ReLUs run in place: the
+    conv1 output shares its buffer with its ReLU, and the pooled map with
+    its ReLU, so the graph keeps no pre-ReLU copy of either."""
+    config = enc.EncoderConfig(base_channels=4, n_mels=32)
+    mel = np.random.default_rng(3).standard_normal((2, 32, 32))
+    params = _params(config)
+    h = enc.encode(mel.astype(np.float32), params, config)
+    seen, stack, shared = {id(h)}, [h], []
+    while stack:
+        node = stack.pop()
+        for p in node._parents:
+            if np.shares_memory(node.data, p.data):
+                shared.append(node.shape)
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    for b, (_, cout) in enumerate(config.channel_plan):
+        full, pooled = (2, cout, 32 >> b, 32 >> b), (2, cout, 16 >> b,
+                                                      16 >> b)
+        assert shared.count(full) == 1, (b + 1, shared)
+        assert shared.count(pooled) == 1, (b + 1, shared)
+
+
 def test_desk_training_step_peak_memory():
     """One desk-shaped training step (B=16, 200 x 80 chunks, base_channels
     8, dmha with 8 heads) peaks under 170 MB of traced allocations: about

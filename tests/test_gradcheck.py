@@ -1,5 +1,7 @@
 """The gradient gate catches what it claims to check."""
 
+import numpy as np
+
 from dmha import autodiff as ad
 from dmha import gradcheck as gc
 
@@ -19,3 +21,13 @@ def test_whole_model_rows_catch_a_wrong_time_softmax_backward(monkeypatch):
     monkeypatch.setattr(ad, "softmax", skewed)
     assert dict(gc.full_model_check(2))["model.pool.u"] > ad.TOLERANCE
 
+
+def test_gate_checks_relu_in_place_on_a_fresh_intermediate():
+    """The relu_ row differentiates through relu_ applied to t * 1.0, a
+    fresh intermediate, and passes; the leaf t is left as it was."""
+    rows = {name: (x, f) for name, x, f, _ in gc._layer_checks(0)}
+    x, f = rows["relu_"]
+    before = x.data.copy()
+    f(x)
+    np.testing.assert_array_equal(x.data, before)
+    assert ad.grad_check(f, x) <= ad.TOLERANCE
