@@ -124,10 +124,9 @@ def log_mel(audio: np.ndarray, config: FeatureConfig = FeatureConfig()) -> np.nd
     filterbank, natural log floored at ENERGY_FLOOR.
     """
     audio = np.asarray(audio, dtype=np.float64)
-    n = frame_count(len(audio), config)
-    idx = (np.arange(config.win_length)[None, :]
-           + config.hop * np.arange(n)[:, None])
-    frames = audio[idx] * _window(config)
+    frame_count(len(audio), config)  # rejects audio shorter than a window
+    frames = (np.lib.stride_tricks.sliding_window_view(
+        audio, config.win_length)[::config.hop] * _window(config))
     spec = np.abs(np.fft.rfft(frames, n=config.n_fft, axis=1)) ** 2
     mel = spec @ mel_filterbank(config).T
     return np.log(np.maximum(mel, ENERGY_FLOOR))

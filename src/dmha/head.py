@@ -76,14 +76,12 @@ def head_forward(c, params: dict, states: dict, config: HeadConfig,
     if x.ndim != 2 or x.shape[1] != config.in_dim:
         raise ValueError(
             f"head input must be (B, {config.in_dim}), got {x.shape}")
-    x = ad.matmul(x, params["head.fc1.w"]) + params["head.fc1.b"]
-    x = ad.relu(ad.batchnorm(x, params["head.bn1.gamma"],
-                             params["head.bn1.beta"],
-                             states["head.bn1"], training))
-    x = ad.matmul(x, params["head.fc2.w"]) + params["head.fc2.b"]
-    emb = ad.relu(ad.batchnorm(x, params["head.bn2.gamma"],
-                               params["head.bn2.beta"],
-                               states["head.bn2"], training))
+    for i in (1, 2):  # FC -> BN -> ReLU; the second block's output is emb
+        x = ad.matmul(x, params[f"head.fc{i}.w"]) + params[f"head.fc{i}.b"]
+        x = ad.relu(ad.batchnorm(x, params[f"head.bn{i}.gamma"],
+                                 params[f"head.bn{i}.beta"],
+                                 states[f"head.bn{i}"], training))
+    emb = x
     z = ad.matmul(emb, params["head.fc3.w"]) + params["head.fc3.b"]
     zn = _l2_normalize(z, axis=1)
     wn = _l2_normalize(params["head.cls.w"], axis=1)

@@ -182,6 +182,9 @@ def read_embeddings(path) -> dict[str, np.ndarray]:
         if len(e) != dim:
             raise ValueError(f"{path}:{lineno}: {len(e)} values for "
                              f"{parts[0]}, header says dim={dim}")
+        if not np.isfinite(e).all():
+            raise ValueError(f"{path}:{lineno}: non-finite value for "
+                             f"{parts[0]}")
         out[parts[0]] = e
     if len(out) != count:
         raise ValueError(f"{path}: header says count={count}, found "

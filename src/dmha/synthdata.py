@@ -8,6 +8,7 @@ are related but not identical frame-wise.
 
 from __future__ import annotations
 
+import itertools
 import os
 import zlib
 from dataclasses import dataclass
@@ -119,17 +120,11 @@ def make_trials(utterances, num_target: int, num_nontarget: int,
     speakers = sorted(by_speaker)
     if len(speakers) < 2:
         raise ValueError("need at least 2 speakers for trials")
-
-    target_pool = []
-    for s in speakers:
-        uids = sorted(by_speaker[s])
-        target_pool += [(a, b) for i, a in enumerate(uids)
-                        for b in uids[i + 1:]]
-    nontarget_pool = []
-    for i, s1 in enumerate(speakers):
-        for s2 in speakers[i + 1:]:
-            nontarget_pool += [(a, b) for a in sorted(by_speaker[s1])
-                               for b in sorted(by_speaker[s2])]
+    uids = {s: sorted(by_speaker[s]) for s in speakers}
+    target_pool = [pair for s in speakers
+                   for pair in itertools.combinations(uids[s], 2)]
+    nontarget_pool = [pair for s1, s2 in itertools.combinations(speakers, 2)
+                      for pair in itertools.product(uids[s1], uids[s2])]
     if num_target > len(target_pool):
         raise ValueError(f"requested {num_target} target pairs, only "
                          f"{len(target_pool)} available")

@@ -41,12 +41,18 @@ class TrainConfig:
             raise ValueError("chunk_frames must be >= 16")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batchnorm)")
+        if not 0 < self.lr < math.inf:
+            raise ValueError("lr must be finite and > 0")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be finite and >= 0")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if not (0 < self.anneal_factor < 1):
             raise ValueError("anneal_factor must be in (0, 1)")
         if self.anneal_patience < 1:
             raise ValueError("anneal_patience must be >= 1")
+        if not 0 <= self.validation_fraction < 1:
+            raise ValueError("validation_fraction must be in [0, 1)")
 
 
 # ---- dataset ----------------------------------------------------------------
@@ -109,26 +115,24 @@ class FeatureCache(dict):
 # ---- chunking / optimizer ----------------------------------------------------
 
 
+def _window(frames: np.ndarray, chunk_frames: int, off: int) -> np.ndarray:
+    """chunk_frames frames from off on, wrapping past the end as often as
+    needed: a copy, so it holds no reference to frames."""
+    return frames[(off + np.arange(chunk_frames)) % len(frames)]
+
+
 def sample_chunk(frames: np.ndarray, chunk_frames: int, rng) -> np.ndarray:
     """Random contiguous window of exactly chunk_frames frames; shorter
-    utterances are wrap-padded by repetition first."""
+    utterances are wrap-padded by repetition. A long utterance's window
+    never wraps; a short one's starts at any frame."""
     n = len(frames)
-    if n >= chunk_frames:
-        off = int(rng.integers(0, n - chunk_frames + 1))
-        return frames[off:off + chunk_frames]
-    reps = -(-(chunk_frames + n) // n)
-    tiled = np.concatenate([frames] * reps, axis=0)
-    off = int(rng.integers(0, n))
-    return tiled[off:off + chunk_frames]
+    high = n - chunk_frames + 1 if n >= chunk_frames else n
+    return _window(frames, chunk_frames, rng.integers(0, high))
 
 
 def fixed_chunk(frames: np.ndarray, chunk_frames: int) -> np.ndarray:
     """Deterministic leading window (wrap-padded); used for validation."""
-    n = len(frames)
-    if n >= chunk_frames:
-        return frames[:chunk_frames]
-    reps = -(-chunk_frames // n)
-    return np.concatenate([frames] * reps, axis=0)[:chunk_frames]
+    return _window(frames, chunk_frames, 0)
 
 
 @dataclass
@@ -446,16 +450,16 @@ def _run_epoch(state: TrainState, tconfig: TrainConfig, utts, label_of,
     loss or parameter gradient is a ValueError naming the epoch and step,
     raised before Adam touches the weights."""
     rng = _epoch_rng(tconfig.seed, state.epoch)
-    chunks = [(sample_chunk(cache(utts[i].utt_id), tconfig.chunk_frames, rng),
-               label_of[utts[i].speaker])
-              for i in rng.permutation(len(utts))]
+    order = rng.permutation(len(utts))
     losses = []
-    for b0 in range(0, len(chunks), tconfig.batch_size):
-        batch = chunks[b0:b0 + tconfig.batch_size]
+    for b0 in range(0, len(order), tconfig.batch_size):
+        batch = [utts[i] for i in order[b0:b0 + tconfig.batch_size]]
         if len(batch) < 2:
             continue  # batchnorm needs batch >= 2
-        mels = [c for c, _ in batch]
-        labels = [l for _, l in batch]
+        # drawn per batch, so an epoch holds one batch of chunk copies
+        mels = [sample_chunk(cache(u.utt_id), tconfig.chunk_frames, rng)
+                for u in batch]
+        labels = [label_of[u.speaker] for u in batch]
         loss = _forward_batch(state.model, mels, labels, training=True)
         for p in state.model.params.values():
             p.zero_grad()

@@ -768,3 +768,45 @@ def test_config_error_names_the_file_and_the_overriding_flags(capsys,
     assert err == (f"error: {cfg} (overridden by --heads 3, --lr 0.5): "
                    f"head count 3 does not divide dim 5120\n")
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["score", "eval"])
+def test_non_finite_embedding_is_a_one_line_error(capsys, tmp_path, command,
+                                                  value):
+    """A NaN or inf embedding would score NaN or skew minDCF; reading
+    stops at it, naming the line and the id, before a score is written."""
+    emb = tmp_path / "emb.txt"
+    emb.write_text(f"dim=2 count=3\na 1 0\nb 0.5 {value}\nc 1 1\n")
+    trials = tmp_path / "trials.txt"
+    trials.write_text("1 a c\n0 a b\n")
+    scores = tmp_path / "scores.txt"
+    out_flag = "--out" if command == "score" else "--scores-out"
+    code, _, err = _run(capsys, command, "--embeddings", str(emb),
+                        "--trials", str(trials), out_flag, str(scores))
+    assert code == 1
+    assert err == f"error: {emb}:3: non-finite value for b\n"
+    assert not scores.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("lr = -1e-3", "lr must be finite and > 0"),
+    ("lr = nan", "lr must be finite and > 0"),
+    ("weight_decay = -1", "weight_decay must be finite and >= 0"),
+    ("validation_fraction = 1.5", "validation_fraction must be in [0, 1)"),
+    ("validation_fraction = nan", "validation_fraction must be in [0, 1)"),
+], ids=["negative-lr", "nan-lr", "negative-decay", "fraction-above-one",
+        "nan-fraction"])
+def test_bad_trainer_setting_in_a_config_file_names_the_file(capsys,
+                                                             tmp_path, line,
+                                                             message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\n")
+    with pytest.raises(ValueError):
+        load_config(cfg).validate()
+    code, _, err = _run(capsys, "train", "--config", str(cfg), "--data",
+                        str(tmp_path / "m.tsv"),
+                        "--out-dir", str(tmp_path / "run"))
+    assert code == 1
+    assert err == f"error: {cfg}: {message}\n"
+    assert not (tmp_path / "run").exists()

@@ -146,3 +146,24 @@ def test_cached_front_end_constants_give_the_uncached_features(
     monkeypatch.setattr(ft, "mel_filterbank", ft.mel_filterbank.__wrapped__)
     monkeypatch.setattr(ft, "_window", lambda c: np.hamming(c.win_length))
     np.testing.assert_array_equal(cached, ft.utterance_features(path, cfg))
+
+
+def _log_mel_framed_by_a_slice_loop(audio, cfg):
+    starts = range(0, len(audio) - cfg.win_length + 1, cfg.hop)
+    frames = np.array([audio[s:s + cfg.win_length] for s in starts])
+    spec = np.abs(np.fft.rfft(frames * np.hamming(cfg.win_length),
+                              n=cfg.n_fft, axis=1)) ** 2
+    mel = spec @ ft.mel_filterbank(cfg).T
+    return np.log(np.maximum(mel, ft.ENERGY_FLOOR))
+
+
+@pytest.mark.parametrize("num_samples", [400, 401, 559, 560, 16000, 96037])
+def test_log_mel_equals_a_per_frame_slice_loop(rng, num_samples):
+    """The strided framing takes the same samples as slicing each frame
+    out of the signal by hand, so the features keep every bit."""
+    cfg = ft.FeatureConfig()
+    audio = rng.uniform(-1.0, 1.0, num_samples)
+    got = ft.log_mel(audio, cfg)
+    assert got.shape == (ft.frame_count(num_samples, cfg), cfg.n_mels)
+    np.testing.assert_array_equal(got,
+                                  _log_mel_framed_by_a_slice_loop(audio, cfg))

@@ -60,6 +60,37 @@ def test_fixed_chunk_is_deterministic_leading_window(rng):
     np.testing.assert_array_equal(wrapped[40:80], frames)
 
 
+def _tiled_chunk(frames, chunk_frames, rng=None):
+    """The tile-and-slice formula: a long utterance's window is a slice, a
+    short one's is cut from the utterance repeated end to end; rng=None
+    takes the leading window."""
+    n = len(frames)
+    if n >= chunk_frames:
+        off = 0 if rng is None else int(rng.integers(0, n - chunk_frames + 1))
+        return frames[off:off + chunk_frames]
+    tiled = np.concatenate([frames] * (-(-(chunk_frames + n) // n)), axis=0)
+    off = 0 if rng is None else int(rng.integers(0, n))
+    return tiled[off:off + chunk_frames]
+
+
+@pytest.mark.parametrize("n", [700, 351, 350, 349, 100, 1],
+                         ids=["long", "one-longer", "equal", "one-shorter",
+                              "short", "one-frame"])
+def test_chunks_equal_the_tile_and_slice_formula(n):
+    frames = np.random.default_rng(n).standard_normal((n, 3)).astype(
+        np.float32)
+    rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(20):
+        got = tr.sample_chunk(frames, 350, rng)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, _tiled_chunk(frames, 350,
+                                                        oracle_rng))
+    # one draw per chunk, with the same bounds
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    np.testing.assert_array_equal(tr.fixed_chunk(frames, 350),
+                                  _tiled_chunk(frames, 350))
+
+
 # ---- Adam ---------------------------------------------------------------------
 
 
@@ -381,3 +412,32 @@ def test_training_runs_the_conv_in_float32_with_float64_parameters(
     assert steps == [1, 2]  # 6 training chunks in batches of 4 and 2
     assert {grad for grad, _ in seen} == {True, False}
     assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("lr", -1e-3, "lr must be finite and > 0"),
+    ("lr", 0.0, "lr must be finite and > 0"),
+    ("lr", float("nan"), "lr must be finite and > 0"),
+    ("lr", float("inf"), "lr must be finite and > 0"),
+    ("weight_decay", -1.0, "weight_decay must be finite and >= 0"),
+    ("weight_decay", float("nan"), "weight_decay must be finite and >= 0"),
+    ("weight_decay", float("inf"), "weight_decay must be finite and >= 0"),
+    ("validation_fraction", 1.5, r"validation_fraction must be in \[0, 1\)"),
+    ("validation_fraction", 1.0, r"validation_fraction must be in \[0, 1\)"),
+    ("validation_fraction", -0.1, r"validation_fraction must be in \[0, 1\)"),
+    ("validation_fraction", float("nan"),
+     r"validation_fraction must be in \[0, 1\)"),
+], ids=["negative-lr", "zero-lr", "nan-lr", "inf-lr", "negative-decay",
+        "nan-decay", "inf-decay", "fraction-above-one", "fraction-one",
+        "negative-fraction", "nan-fraction"])
+def test_train_config_rejects_bad_optimizer_and_split_settings(field, value,
+                                                               message):
+    """A negative lr would step Adam up the gradient, and a fraction of 1
+    or more leaves no training utterance; each fails at construction."""
+    with pytest.raises(ValueError, match=message):
+        tr.TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_the_edges_of_its_ranges():
+    tr.TrainConfig(lr=1e-12, weight_decay=0.0, validation_fraction=0.0)
+    tr.TrainConfig(validation_fraction=0.999)
