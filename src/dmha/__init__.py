@@ -4,11 +4,3 @@ Pipeline: log-mel features -> VGG encoder -> attention pooling (vanilla
 self attention / self MHA / double MHA) -> FC head with AM-Softmax ->
 cosine scoring with EER / minDCF over trial lists.
 """
-
-from .autodiff import Tensor, grad_check
-from .config import RunConfig, load_config
-from .model import ModelConfig, SpeakerModel
-
-__all__ = ["Tensor", "grad_check", "RunConfig", "load_config",
-           "ModelConfig", "SpeakerModel"]
-__version__ = "0.1.0"

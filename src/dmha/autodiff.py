@@ -370,8 +370,7 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
 
     def bw(g):
         if not keepdims:
-            for ax in sorted(axes):
-                g = np.expand_dims(g, ax)
+            g = np.expand_dims(g, axes)
         return (np.broadcast_to(g, a.shape),)
 
     return _make(a.data.sum(axis=axes, keepdims=keepdims), (a,), bw)

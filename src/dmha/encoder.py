@@ -33,6 +33,10 @@ class EncoderConfig:
     base_channels: int = 128   # block plan 1->c, c->2c, 2c->4c, 4c->8c
     n_mels: int = 80
 
+    def __post_init__(self):
+        if self.base_channels < 1:
+            raise ValueError("base_channels must be >= 1")
+
     @property
     def channel_plan(self):
         c = self.base_channels
@@ -56,9 +60,7 @@ def output_dim(config: EncoderConfig) -> int:
 
 def output_frames(n: int) -> int:
     """Time extent after the four 2x2 maxpools (floor at each stage)."""
-    for _ in range(4):
-        n //= 2
-    return n
+    return n // 16
 
 
 def init_params(config: EncoderConfig, param_rng) -> dict:

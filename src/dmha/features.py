@@ -84,21 +84,23 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+def _mel_points_hz(config: FeatureConfig) -> np.ndarray:
+    """The n_mels + 2 filter edges in Hz, equally spaced on the mel scale."""
+    return mel_to_hz(np.linspace(hz_to_mel(config.fmin),
+                                 hz_to_mel(config.fmax), config.n_mels + 2))
+
+
 @functools.lru_cache(maxsize=None)
 def mel_filterbank(config: FeatureConfig) -> np.ndarray:
     """Triangular filters (n_mels x n_fft//2+1) on the HTK mel scale.
     Computed once per config and returned read-only."""
-    n_bins = config.n_fft // 2 + 1
-    fft_freqs = np.arange(n_bins) * config.sample_rate / config.n_fft
-    mel_pts = np.linspace(hz_to_mel(config.fmin), hz_to_mel(config.fmax),
-                          config.n_mels + 2)
-    hz_pts = mel_to_hz(mel_pts)
-    fb = np.zeros((config.n_mels, n_bins))
-    for i in range(config.n_mels):
-        lo, ctr, hi = hz_pts[i], hz_pts[i + 1], hz_pts[i + 2]
-        rising = (fft_freqs - lo) / (ctr - lo)
-        falling = (hi - fft_freqs) / (hi - ctr)
-        fb[i] = np.maximum(0.0, np.minimum(rising, falling))
+    fft_freqs = (np.arange(config.n_fft // 2 + 1) * config.sample_rate
+                 / config.n_fft)
+    hz = _mel_points_hz(config)[:, None]
+    lo, ctr, hi = hz[:-2], hz[1:-1], hz[2:]
+    rising = (fft_freqs - lo) / (ctr - lo)
+    falling = (hi - fft_freqs) / (hi - ctr)
+    fb = np.maximum(0.0, np.minimum(rising, falling))
     fb.flags.writeable = False
     return fb
 
@@ -112,9 +114,7 @@ def _window(config: FeatureConfig) -> np.ndarray:
 
 
 def filter_centers_hz(config: FeatureConfig) -> np.ndarray:
-    mel_pts = np.linspace(hz_to_mel(config.fmin), hz_to_mel(config.fmax),
-                          config.n_mels + 2)
-    return mel_to_hz(mel_pts)[1:-1]
+    return _mel_points_hz(config)[1:-1]
 
 
 def log_mel(audio: np.ndarray, config: FeatureConfig = FeatureConfig()) -> np.ndarray:

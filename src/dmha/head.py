@@ -25,6 +25,8 @@ class HeadConfig:
     m: float = 0.4
 
     def __post_init__(self):
+        if self.hidden < 1:
+            raise ValueError("hidden must be >= 1")
         if not 0 < self.s < np.inf:
             raise ValueError("scale s must be finite and > 0")
         if not (0 <= self.m < 1):

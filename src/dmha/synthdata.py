@@ -68,8 +68,6 @@ def synthesize_utterance(spk: SyntheticSpeaker, duration_s: float,
     channel = np.exp(np.cumsum(rng.normal(0.0, 0.35, size=len(spk.harmonic_gains))))
     sig = np.zeros(n)
     for k, gain in enumerate(spk.harmonic_gains, start=1):
-        if k * spk.f0 * 1.1 >= SAMPLE_RATE / 2:
-            break
         am_rate = rng.uniform(0.5, 3.0)
         am_phase = rng.uniform(0, 2 * np.pi)
         am = 1.0 + 0.4 * np.sin(2 * np.pi * am_rate * t + am_phase)

@@ -53,6 +53,8 @@ class TrainConfig:
             raise ValueError("anneal_patience must be >= 1")
         if not 0 <= self.validation_fraction < 1:
             raise ValueError("validation_fraction must be in [0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 # ---- dataset ----------------------------------------------------------------
@@ -353,17 +355,29 @@ class TrainState:
         builds from it. A checkpoint that load_model rejects, without
         training state, of other speakers, of another model or run setting
         (_run_keys), with misshapen Adam moments or with no epoch left to
-        train is a ValueError naming path."""
+        train is a ValueError naming path, as is an lr that TrainConfig
+        rejects, a negative epoch, step or plateau count, or a NaN best_val
+        (+inf is a run that never improved)."""
         config, tensors = checkpoint = load_checkpoint(path)
         model, _ = load_model(path, checkpoint)
         # the model.* values as save() would write them
         config.update(model_config_to_dict(model.config))
+
+        def count(key):
+            n = int(config[key])
+            if n < 0:
+                raise ValueError(f"{key}={n} is negative")
+            return n
+
         try:
-            state = cls(model, float(config["train.lr"]),
-                        AdamState(t=int(config["train.step"])),
-                        epoch=int(config["train.epoch"]),
+            # replace() checks the lr by TrainConfig's own rule
+            lr = replace(tconfig, lr=float(config["train.lr"])).lr
+            state = cls(model, lr, AdamState(t=count("train.step")),
+                        epoch=count("train.epoch"),
                         best_val=float(config["train.best_val"]),
-                        since_improve=int(config["train.since_improve"]))
+                        since_improve=count("train.since_improve"))
+            if math.isnan(state.best_val):
+                raise ValueError("train.best_val is nan")
             trained_on = config["speakers"].split(",")
             mismatch = [(key, config[key], want) for key, want in
                         _run_keys(model_config, tconfig).items()

@@ -810,3 +810,52 @@ def test_bad_trainer_setting_in_a_config_file_names_the_file(capsys,
     assert code == 1
     assert err == f"error: {cfg}: {message}\n"
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("train", "base_channels = 0", "base_channels must be >= 1"),
+    ("train", "base_channels = -1", "base_channels must be >= 1"),
+    ("train", "hidden = 0", "hidden must be >= 1"),
+    ("train", "hidden = -1", "hidden must be >= 1"),
+    ("train", "seed = -1", "seed must be >= 0"),
+    ("synth", "seed = -1", "seed must be >= 0"),
+], ids=["zero-channels", "negative-channels", "zero-hidden",
+        "negative-hidden", "negative-seed-train", "negative-seed-synth"])
+def test_model_size_or_seed_below_its_range_names_the_config_file(
+        cli_workspace, capsys, tmp_path, command, line, message):
+    """A zero width divided by zero in the He init, a negative one reached
+    numpy, and a negative seed reached the RNG; each is now a setting
+    error that names the file, with nothing written."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\n")
+    out = tmp_path / "out"
+    argv = (["--data", str(cli_workspace["corpus"] / "manifest.tsv")]
+            if command == "train" else [])
+    code, _, err = _run(capsys, command, "--config", str(cfg),
+                        "--out-dir", str(out), *argv)
+    assert code == 1
+    assert err == f"error: {cfg}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("model.base_channels", "0", "base_channels must be >= 1"),
+    ("model.base_channels", "-1", "base_channels must be >= 1"),
+    ("model.hidden", "0", "hidden must be >= 1"),
+    ("model.hidden", "-1", "hidden must be >= 1"),
+], ids=["zero-channels", "negative-channels", "zero-hidden",
+        "negative-hidden"])
+def test_checkpoint_model_size_below_its_range_names_the_checkpoint(
+        cli_workspace, capsys, tmp_path, key, value, message):
+    ws = cli_workspace
+    config, tensors = tr.load_checkpoint(ws["ckpt"])
+    config[key] = value
+    ckpt = tmp_path / "bad.ckpt"
+    tr.save_checkpoint(ckpt, config, tensors)
+    emb = tmp_path / "emb.txt"
+    code, _, err = _run(capsys, "extract", "--checkpoint", str(ckpt),
+                        "--data", str(ws["corpus"] / "manifest.tsv"),
+                        "--out", str(emb))
+    assert code == 1
+    assert err == f"error: {ckpt}: {message}\n"
+    assert not emb.exists()

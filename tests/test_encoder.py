@@ -317,3 +317,11 @@ def test_desk_training_step_peak_memory():
         tracemalloc.stop()
     assert all(p.grad is not None for p in model.params.values())
     assert peak < 170e6, f"{peak / 1e6:.1f} MB"
+
+
+def test_output_frames_is_four_floor_halvings():
+    for n in range(1001):
+        halved = n
+        for _ in range(4):
+            halved //= 2
+        assert enc.output_frames(n) == halved, n

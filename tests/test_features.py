@@ -1,5 +1,10 @@
 """Log-mel front-end: framing arithmetic, filterbank geometry, CMN."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,3 +172,43 @@ def test_log_mel_equals_a_per_frame_slice_loop(rng, num_samples):
     assert got.shape == (ft.frame_count(num_samples, cfg), cfg.n_mels)
     np.testing.assert_array_equal(got,
                                   _log_mel_framed_by_a_slice_loop(audio, cfg))
+
+
+def _filterbank_by_a_row_loop(cfg):
+    """One triangle per row, from the n_mels + 2 mel-spaced edges."""
+    n_bins = cfg.n_fft // 2 + 1
+    fft_freqs = np.arange(n_bins) * cfg.sample_rate / cfg.n_fft
+    hz_pts = ft.mel_to_hz(np.linspace(ft.hz_to_mel(cfg.fmin),
+                                      ft.hz_to_mel(cfg.fmax), cfg.n_mels + 2))
+    fb = np.zeros((cfg.n_mels, n_bins))
+    for i in range(cfg.n_mels):
+        lo, ctr, hi = hz_pts[i], hz_pts[i + 1], hz_pts[i + 2]
+        rising = (fft_freqs - lo) / (ctr - lo)
+        falling = (hi - fft_freqs) / (hi - ctr)
+        fb[i] = np.maximum(0.0, np.minimum(rising, falling))
+    return fb, hz_pts[1:-1]
+
+
+@pytest.mark.parametrize("n_mels", [16, 32, 40, 80, 128])
+def test_filterbank_equals_a_per_filter_loop(n_mels):
+    """The broadcast filterbank and the filter centres keep every bit of
+    building each triangle on its own."""
+    cfg = ft.FeatureConfig(n_mels=n_mels)
+    want, centers = _filterbank_by_a_row_loop(cfg)
+    got = ft.mel_filterbank.__wrapped__(cfg)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert ft.filter_centers_hz(cfg).tobytes() == centers.tobytes()
+
+
+@pytest.mark.parametrize("module", ["dmha", "dmha.features"])
+def test_importing_the_front_end_loads_no_training_code(module):
+    """The package __init__ re-exports nothing, so importing the package
+    or its front-end does not pull in the model, config or trainer."""
+    src = os.path.dirname(os.path.dirname(ft.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        check=True).stdout
+    assert not {"dmha.trainer", "dmha.config", "dmha.model"} & set(
+        json.loads(out))

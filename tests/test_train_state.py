@@ -127,6 +127,77 @@ def test_bad_resume_is_a_one_line_cli_error(two_epoch_run, tiny_corpus,
     assert not (tmp_path / "run").exists()
 
 
+def _resume_checkpoint_with(last, path, key, value):
+    """last.ckpt with one training-state value replaced, written to path."""
+    config, tensors = tr.load_checkpoint(last)
+    config[key] = value
+    tr.save_checkpoint(path, config, tensors)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("train.lr", "-0.001", "lr must be finite and > 0"),
+    ("train.lr", "0", "lr must be finite and > 0"),
+    ("train.lr", "nan", "lr must be finite and > 0"),
+    ("train.lr", "inf", "lr must be finite and > 0"),
+    ("train.epoch", "-1", "train.epoch=-1 is negative"),
+    ("train.step", "-3", "train.step=-3 is negative"),
+    ("train.since_improve", "-1", "train.since_improve=-1 is negative"),
+    ("train.best_val", "nan", "train.best_val is nan"),
+], ids=["negative-lr", "zero-lr", "nan-lr", "inf-lr", "negative-epoch",
+        "negative-step", "negative-since-improve", "nan-best-val"])
+def test_resume_state_outside_its_range_is_an_error_before_anything_is_written(
+        two_epoch_run, tiny_run_config, tmp_path, key, value, message):
+    """A negative lr trained by gradient ascent, a NaN lr or a negative
+    step stopped later on a non-finite loss that named no checkpoint, a
+    negative epoch retrained from epoch 0, and a NaN best_val never
+    recorded an improvement."""
+    utts, last = two_epoch_run
+    ckpt = tmp_path / "resume.ckpt"
+    _resume_checkpoint_with(last, ckpt, key, value)
+    out = tmp_path / "run"
+    with pytest.raises(ValueError) as exc:
+        tr.train(_tiny_train_config(max_epochs=3), utts,
+                 tiny_run_config.model_config(3), out, resume=ckpt)
+    assert str(exc.value) == f"{ckpt}: bad training state: {message}"
+    assert not out.exists()
+
+
+def test_resume_state_at_the_edges_of_its_ranges_trains(
+        two_epoch_run, tiny_run_config, tmp_path):
+    """A best_val of +inf (no epoch ever improved) and zero counts are a
+    state save() can write, so they resume."""
+    utts, last = two_epoch_run
+    config, tensors = tr.load_checkpoint(last)
+    config.update({"train.best_val": "inf", "train.since_improve": "0"})
+    ckpt = tmp_path / "resume.ckpt"
+    tr.save_checkpoint(ckpt, config, tensors)
+    res = tr.train(_tiny_train_config(max_epochs=3), utts,
+                   tiny_run_config.model_config(3), tmp_path / "run",
+                   resume=ckpt)
+    assert res.epochs_run == 1
+    assert tr.load_checkpoint(res.best_path)[0]["train.epoch"] == "3"
+
+
+def test_bad_resume_state_is_a_one_line_cli_error(two_epoch_run, tiny_corpus,
+                                                  capsys, tmp_path):
+    root, _ = tiny_corpus
+    ckpt = tmp_path / "resume.ckpt"
+    _resume_checkpoint_with(two_epoch_run[1], ckpt, "train.lr", "-0.001")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("base_channels = 2\nhidden = 16\nheads = 2\n"
+                   "s = 5.0\nm = 0.2\nchunk_frames = 64\nbatch_size = 4\n"
+                   "validation_fraction = 0.0\nseed = 7\n")
+    code = cli.main(["train", "--config", str(cfg),
+                     "--data", str(root / "manifest.tsv"),
+                     "--out-dir", str(tmp_path / "run"),
+                     "--resume", str(ckpt), "--epochs", "3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == (f"error: {ckpt}: bad training state: lr must be finite "
+                   "and > 0\n")
+    assert not (tmp_path / "run").exists()
+
+
 # ---- checkpoint writer and reader ------------------------------------------
 
 
