@@ -36,7 +36,7 @@ bits do not depend on the batch either. The NCHW output is a view of the
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

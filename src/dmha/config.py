@@ -46,12 +46,9 @@ class RunConfig:
     def feature_config(self) -> FeatureConfig:
         return FeatureConfig(n_mels=self.n_mels)
 
-    def encoder_config(self) -> EncoderConfig:
-        return _from_fields(EncoderConfig, self)
-
     def model_config(self, num_speakers: int = ModelConfig.num_speakers
                      ) -> ModelConfig:
-        return ModelConfig(encoder=self.encoder_config(),
+        return ModelConfig(encoder=_from_fields(EncoderConfig, self),
                            pooling_kind=self.pooling, num_heads=self.heads,
                            hidden=self.hidden, num_speakers=num_speakers,
                            s=self.s, m=self.m)
@@ -67,7 +64,8 @@ def _from_fields(cls, cfg: RunConfig):
 
 def load_config(path) -> RunConfig:
     """Read "key = value" lines; '#' starts a comment; blank lines ignored.
-    An unknown key or a malformed value is a ValueError naming path:line."""
+    An unknown or repeated key or a malformed value is a ValueError naming
+    path:line."""
     types = get_type_hints(RunConfig)
     overrides = {}
     for lineno, line in text_lines(path):
@@ -80,6 +78,8 @@ def load_config(path) -> RunConfig:
         key, raw = key.strip(), raw.strip()
         if key not in types:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in overrides:
+            raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
         try:
             overrides[key] = parse_value(key, types[key], raw)
         except ValueError as exc:

@@ -36,6 +36,11 @@ class EncoderConfig:
     def __post_init__(self):
         if self.base_channels < 1:
             raise ValueError("base_channels must be >= 1")
+        # four 2x2 maxpools halve the frequency axis four times
+        if self.n_mels % 16 != 0:
+            raise ValueError(f"n_mels must be divisible by 16, got {self.n_mels}")
+        if self.n_mels < 16:
+            raise ValueError(f"n_mels must be >= 16, got {self.n_mels}")
 
     @property
     def channel_plan(self):
@@ -48,8 +53,6 @@ class EncoderConfig:
 
     @property
     def final_freq(self) -> int:
-        if self.n_mels % 16 != 0:
-            raise ValueError(f"n_mels must be divisible by 16, got {self.n_mels}")
         return self.n_mels // 16
 
 

@@ -8,7 +8,7 @@ optimizer and the checkpoint format.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,13 +46,10 @@ class ModelConfig:
         return enc.output_dim(self.encoder)
 
     @property
-    def pooled_dim(self) -> int:
-        return pl.pooled_dim(self.pooling_kind, self.hidden_dim,
-                             self.num_heads)
-
-    @property
     def head(self) -> hd.HeadConfig:
-        return hd.HeadConfig(in_dim=self.pooled_dim, hidden=self.hidden,
+        in_dim = pl.pooled_dim(self.pooling_kind, self.hidden_dim,
+                               self.num_heads)
+        return hd.HeadConfig(in_dim=in_dim, hidden=self.hidden,
                              num_speakers=self.num_speakers,
                              s=self.s, m=self.m)
 
@@ -79,14 +76,13 @@ class SpeakerModel:
                                 u_prime=self.params.get("pool.u_prime"))
 
     def forward(self, mel_batch, labels=None, training: bool = False):
-        """mel_batch: (B, N, n_mels) -> dict with embedding, cos_logits,
-        pooled context, attention weights, and (if labels given) loss."""
+        """mel_batch: (B, N, n_mels) -> dict with embedding, attention
+        weights, and (if labels given) loss."""
         h = enc.encode(mel_batch, self.params, self.config.encoder)
         c, w, wp = pl.pool(h, self.pooling_params, self.config.pooling_kind)
         emb, cos_logits = hd.head_forward(c, self.params, self.bn_states,
                                           self.config.head, training)
-        out = {"embedding": emb, "cos_logits": cos_logits,
-               "context": c, "weights": w, "head_weights": wp}
+        out = {"embedding": emb, "weights": w, "head_weights": wp}
         if labels is not None:
             out["loss"] = hd.am_softmax_loss(cos_logits, labels,
                                              self.config.s, self.config.m)

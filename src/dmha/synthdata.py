@@ -22,6 +22,7 @@ SAMPLE_RATE = 16000
 SNR_DB = 20.0
 NUM_HARMONICS = 12
 F0_MIN, F0_MAX = 110.0, 320.0
+F0_JITTER = 0.03   # per-utterance relative f0 jitter range
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,6 @@ class SyntheticSpeaker:
     id: str
     f0: float
     harmonic_gains: tuple
-    tilt: float            # spectral tilt exponent
-    jitter: float          # per-utterance relative f0 jitter range
 
 
 def _speaker_bank(num_speakers: int, seed: int) -> list[SyntheticSpeaker]:
@@ -39,13 +38,12 @@ def _speaker_bank(num_speakers: int, seed: int) -> list[SyntheticSpeaker]:
     speakers = []
     for i, f0 in enumerate(f0s):
         rng = np.random.default_rng([seed, zlib.crc32(b"speaker"), i])
-        tilt = rng.uniform(0.5, 1.5)
+        tilt = rng.uniform(0.5, 1.5)   # spectral tilt exponent
         gains = rng.uniform(0.3, 1.0, size=NUM_HARMONICS)
         gains = gains / (np.arange(1, NUM_HARMONICS + 1) ** tilt)
         speakers.append(SyntheticSpeaker(
             id=f"spk{i:03d}", f0=float(f0),
-            harmonic_gains=tuple(gains / gains.max()),
-            tilt=float(tilt), jitter=0.03))
+            harmonic_gains=tuple(gains / gains.max())))
     return speakers
 
 
@@ -54,7 +52,7 @@ def synthesize_utterance(spk: SyntheticSpeaker, duration_s: float,
     """One harmonic-plus-noise utterance at 16 kHz."""
     n = int(round(duration_s * SAMPLE_RATE))
     t = np.arange(n) / SAMPLE_RATE
-    f0 = spk.f0 * (1.0 + rng.uniform(-spk.jitter, spk.jitter))
+    f0 = spk.f0 * (1.0 + rng.uniform(-F0_JITTER, F0_JITTER))
     # slow pitch glide plus vibrato so frames are nonstationary
     glide = rng.uniform(-0.04, 0.04)
     vib_rate = rng.uniform(3.0, 7.0)
@@ -91,7 +89,6 @@ def generate_corpus(out_dir, num_speakers: int, utts_per_speaker: int,
         raise ValueError("need at least 2 speakers")
     if utts_per_speaker < 1:
         raise ValueError("need at least 1 utterance per speaker")
-    os.makedirs(out_dir, exist_ok=True)
     wav_dir = os.path.join(out_dir, "wav")
     os.makedirs(wav_dir, exist_ok=True)
     manifest = os.path.join(out_dir, "manifest.tsv")

@@ -249,6 +249,9 @@ def load_checkpoint(path):
             except ValueError:  # numpy caps the rank and the element count
                 raise ValueError(f"{path}: corrupt checkpoint (tensor {name} "
                                  f"has dims {dims})") from None
+        if f.tell() != size:
+            raise ValueError(f"{path}: corrupt checkpoint ({size - f.tell()} "
+                             "bytes after the last tensor)")
     return config, tensors
 
 

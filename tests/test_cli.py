@@ -859,3 +859,51 @@ def test_checkpoint_model_size_below_its_range_names_the_checkpoint(
     assert code == 1
     assert err == f"error: {ckpt}: {message}\n"
     assert not emb.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", ["0", "-16"])
+def test_checkpoint_n_mels_below_16_names_the_checkpoint(
+        cli_workspace, capsys, tmp_path, value):
+    """0 divided by zero in the pooling init and -16 reached a square root
+    and numpy; both are now the encoder's n_mels error, naming the file."""
+    ws = cli_workspace
+    config, tensors = tr.load_checkpoint(ws["ckpt"])
+    config["model.n_mels"] = value
+    ckpt = tmp_path / "bad.ckpt"
+    tr.save_checkpoint(ckpt, config, tensors)
+    emb = tmp_path / "emb.txt"
+    code, _, err = _run(capsys, "extract", "--checkpoint", str(ckpt),
+                        "--data", str(ws["corpus"] / "manifest.tsv"),
+                        "--out", str(emb))
+    assert code == 1
+    assert err == f"error: {ckpt}: n_mels must be >= 16, got {value}\n"
+    assert not emb.exists()
+
+
+def test_bytes_after_the_last_tensor_is_a_one_line_error(cli_workspace,
+                                                         capsys, tmp_path):
+    ws = cli_workspace
+    ckpt = tmp_path / "padded.ckpt"
+    ckpt.write_bytes(ws["ckpt"].read_bytes() + b"x" * 29)
+    emb = tmp_path / "emb.txt"
+    code, _, err = _run(capsys, "extract", "--checkpoint", str(ckpt),
+                        "--data", str(ws["corpus"] / "manifest.tsv"),
+                        "--out", str(emb))
+    assert code == 1
+    assert err == (f"error: {ckpt}: corrupt checkpoint (29 bytes after the "
+                   "last tensor)\n")
+    assert not emb.exists()
+
+
+def test_repeated_config_key_names_the_second_line(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lr = 0.5\nseed = 3\nlr = 0.001\n")
+    with pytest.raises(ValueError) as exc:
+        load_config(cfg)
+    assert str(exc.value) == f"{cfg}:3: duplicate config key 'lr'"
+    code, _, err = _run(capsys, "synth", "--config", str(cfg),
+                        "--out-dir", str(tmp_path / "corpus"))
+    assert code == 1
+    assert err == f"error: {cfg}:3: duplicate config key 'lr'\n"
+    assert not (tmp_path / "corpus").exists()

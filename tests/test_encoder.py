@@ -33,6 +33,26 @@ def test_output_dim_rejects_bad_n_mels():
         enc.output_dim(enc.EncoderConfig(base_channels=4, n_mels=50))
 
 
+@pytest.mark.parametrize("n_mels, message", [
+    (0, "n_mels must be >= 16, got 0"),
+    (-16, "n_mels must be >= 16, got -16"),
+    (8, "n_mels must be divisible by 16, got 8"),
+    (50, "n_mels must be divisible by 16, got 50"),
+], ids=["zero", "negative", "eight", "fifty"])
+def test_encoder_config_rejects_n_mels_when_built(n_mels, message):
+    """The four 2x2 maxpools need a positive multiple of 16 mel bins; the
+    config says so as it is built, not when final_freq is first read."""
+    with pytest.raises(ValueError) as exc:
+        enc.EncoderConfig(base_channels=2, n_mels=n_mels)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n_mels", [16, 32, 64, 80, 128])
+def test_encoder_config_accepts_positive_multiples_of_16(n_mels):
+    assert enc.EncoderConfig(base_channels=2, n_mels=n_mels).final_freq \
+        == n_mels // 16
+
+
 def test_output_frames_floor_cascade():
     assert enc.output_frames(160) == 10
     assert enc.output_frames(350) == 21  # 350 -> 175 -> 87 -> 43 -> 21
