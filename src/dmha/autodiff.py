@@ -165,10 +165,7 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         s = tsum(self, axis=axis, keepdims=keepdims)
-        n = self.data.size if axis is None else np.prod(
-            [self.data.shape[a] for a in _axes(axis, self.ndim)]
-        )
-        return scale(s, 1.0 / float(n))
+        return scale(s, s.data.size / self.data.size)
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])

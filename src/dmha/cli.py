@@ -40,8 +40,17 @@ def _load_run_config(args) -> RunConfig:
         raise ValueError(f"{args.config}{where}: {exc}") from None
 
 
+def _at_least(args, low, *flags):
+    """A ValueError naming the first flag whose value is below low."""
+    for flag in flags:
+        if getattr(args, flag) < low:
+            raise ValueError(f"--{flag.replace('_', '-')} must be >= {low}, "
+                             f"got {getattr(args, flag)}")
+
+
 def cmd_synth(args) -> int:
     cfg = _load_run_config(args)
+    _at_least(args, 0, "num_target", "num_nontarget")
     manifest = sd.generate_corpus(args.out_dir, args.speakers, args.utts,
                                   duration_s=args.duration, seed=cfg.seed)
     utts = tr.load_manifest(manifest)
@@ -145,6 +154,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    _at_least(args, 1, "num_seeds")
     seeds = tuple(range(args.num_seeds))
     results = gc.run_gradcheck(seeds=seeds)
     sys.stdout.write(gc.format_table(results))

@@ -39,7 +39,6 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         self.model_config().head  # the pooling and head checks a run meets
-        self.feature_config()
         self.train_config()
         return self
 

@@ -25,12 +25,6 @@ grad_check_sampled = grad_check  # samples coordinates given max_coords
 MAX_COORDS_PER_TENSOR = 40
 
 
-def _untie_for_maxpool(x: np.ndarray, rng) -> np.ndarray:
-    """Perturb so no 2x2 window has near-ties (maxpool grad is only defined
-    away from ties)."""
-    return x + rng.permutation(x.size).reshape(x.shape) * 1e-3
-
-
 def _layer_checks(seed: int):
     """One (name, input, loss, max_coords) row per layer check; max_coords
     None checks every coordinate."""
@@ -50,7 +44,10 @@ def _layer_checks(seed: int):
     checks.append(("conv2d_same.w", Tensor(w),
                    lambda t: (ad.conv2d_same(Tensor(xc), t) ** 2).sum(), None))
 
-    mp = Tensor(_untie_for_maxpool(rng.standard_normal((2, 8, 8)), rng))
+    # the maxpool gradient is defined only away from ties: spread the
+    # values so no 2x2 window has a near-tie
+    mp = rng.standard_normal((2, 8, 8))
+    mp = Tensor(mp + rng.permutation(mp.size).reshape(mp.shape) * 1e-3)
     checks.append(("maxpool2x2", mp,
                    lambda t: (ad.maxpool2x2(t) ** 2).sum(), None))
 
@@ -135,17 +132,13 @@ def _layer_checks(seed: int):
     return checks
 
 
-def tiny_model_config() -> ModelConfig:
-    return ModelConfig(
-        encoder=EncoderConfig(base_channels=1, n_mels=16),
-        pooling_kind="dmha", num_heads=2, hidden=4, num_speakers=3,
-        s=5.0, m=0.2)
-
-
 def full_model_check(seed: int) -> list[tuple[str, float]]:
     """Parameter-wise FD check of the whole tiny network."""
     rng = np.random.default_rng(seed)
-    model = SpeakerModel(tiny_model_config(), seed=seed)
+    model = SpeakerModel(ModelConfig(
+        encoder=EncoderConfig(base_channels=1, n_mels=16),
+        pooling_kind="dmha", num_heads=2, hidden=4, num_speakers=3,
+        s=5.0, m=0.2), seed=seed)
     # fresh init sits exactly on the relu kink (zero biases + relu-dead
     # patches give pre-activations of exactly 0); nudge off it so the
     # differentiability precondition holds

@@ -69,17 +69,14 @@ class SpeakerModel:
         head_params, self.bn_states = hd.init_params(config.head, rng)
         self.params.update(head_params)
 
-    @property
-    def pooling_params(self) -> pl.PoolingParams:
-        return pl.PoolingParams(u=self.params["pool.u"],
-                                num_heads=self.config.num_heads,
-                                u_prime=self.params.get("pool.u_prime"))
-
     def forward(self, mel_batch, labels=None, training: bool = False):
         """mel_batch: (B, N, n_mels) -> dict with embedding, attention
         weights, and (if labels given) loss."""
         h = enc.encode(mel_batch, self.params, self.config.encoder)
-        c, w, wp = pl.pool(h, self.pooling_params, self.config.pooling_kind)
+        pp = pl.PoolingParams(u=self.params["pool.u"],
+                              num_heads=self.config.num_heads,
+                              u_prime=self.params.get("pool.u_prime"))
+        c, w, wp = pl.pool(h, pp, self.config.pooling_kind)
         emb, cos_logits = hd.head_forward(c, self.params, self.bn_states,
                                           self.config.head, training)
         out = {"embedding": emb, "weights": w, "head_weights": wp}

@@ -9,6 +9,7 @@ are related but not identical frame-wise.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import zlib
 from dataclasses import dataclass
@@ -89,6 +90,9 @@ def generate_corpus(out_dir, num_speakers: int, utts_per_speaker: int,
         raise ValueError("need at least 2 speakers")
     if utts_per_speaker < 1:
         raise ValueError("need at least 1 utterance per speaker")
+    if not 1 / SAMPLE_RATE <= duration_s < math.inf:
+        raise ValueError(f"duration must be finite and at least one sample "
+                         f"(1/{SAMPLE_RATE} s), got {duration_s}")
     wav_dir = os.path.join(out_dir, "wav")
     os.makedirs(wav_dir, exist_ok=True)
     manifest = os.path.join(out_dir, "manifest.tsv")

@@ -161,11 +161,8 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
                 f"{p.data.shape} for {name}")
         if weight_decay:
             g = g + weight_decay * p.data
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1 - beta2) * g * g
+        state.m[name] = beta1 * state.m.get(name, 0.0) + (1 - beta1) * g
+        state.v[name] = beta2 * state.v.get(name, 0.0) + (1 - beta2) * g * g
         mhat = state.m[name] / bc1
         vhat = state.v[name] / bc2
         p.data = p.data - lr * mhat / (np.sqrt(vhat) + eps)
@@ -234,13 +231,22 @@ def load_checkpoint(path):
         clen, = struct.unpack("<I", read(4))
         config = {}
         for line in text(clen).splitlines():
-            k, _, v = line.partition("=")
+            k, eq, v = line.partition("=")
+            if not eq:
+                raise ValueError(f"{path}: corrupt checkpoint (key line "
+                                 f"{line!r} has no '=')")
+            if k in config:
+                raise ValueError(f"{path}: corrupt checkpoint (key {k} "
+                                 "appears twice)")
             config[k] = v
         ntensors, = struct.unpack("<I", read(4))
         tensors = {}
         for _ in range(ntensors):
             nlen, = struct.unpack("<H", read(2))
             name = text(nlen)
+            if name in tensors:
+                raise ValueError(f"{path}: corrupt checkpoint (tensor {name} "
+                                 "appears twice)")
             rank, = struct.unpack("<B", read(1))
             dims = struct.unpack(f"<{rank}I", read(4 * rank))
             data = np.frombuffer(read(8 * math.prod(dims)), dtype="<f8")
@@ -318,6 +324,7 @@ def _run_keys(model_config: ModelConfig, tconfig: TrainConfig) -> dict:
         "train.chunk_frames": tconfig.chunk_frames,
         "train.batch_size": tconfig.batch_size,
         "train.weight_decay": tconfig.weight_decay,
+        "train.validation_fraction": tconfig.validation_fraction,
     })
     return keys
 
@@ -365,6 +372,10 @@ class TrainState:
         model, _ = load_model(path, checkpoint)
         # the model.* values as save() would write them
         config.update(model_config_to_dict(model.config))
+        # a checkpoint written before the split was a run key has no
+        # train.validation_fraction; its resume is not checked for it
+        config.setdefault("train.validation_fraction",
+                          tconfig.validation_fraction)
 
         def count(key):
             n = int(config[key])
@@ -427,10 +438,6 @@ class TrainResult:
         return self.log_rows[-1][1]
 
 
-def _epoch_rng(seed: int, epoch: int):
-    return np.random.default_rng([seed, zlib.crc32(b"epoch"), epoch])
-
-
 def _forward_batch(model, batch_mel, labels, training):
     out = model.forward(np.stack(batch_mel), labels=np.asarray(labels),
                         training=training)
@@ -466,7 +473,8 @@ def _run_epoch(state: TrainState, tconfig: TrainConfig, utts, label_of,
     the epoch's shuffled order; returns the mean step loss. A non-finite
     loss or parameter gradient is a ValueError naming the epoch and step,
     raised before Adam touches the weights."""
-    rng = _epoch_rng(tconfig.seed, state.epoch)
+    rng = np.random.default_rng([tconfig.seed, zlib.crc32(b"epoch"),
+                                 state.epoch])
     order = rng.permutation(len(utts))
     losses = []
     for b0 in range(0, len(order), tconfig.batch_size):

@@ -535,6 +535,22 @@ def test_sum_gradient_all_ones(rng):
     np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
 
+@pytest.mark.parametrize("keepdims", [False, True])
+@pytest.mark.parametrize("op", ["sum", "mean"])
+def test_reduction_over_a_tuple_of_axes(rng, op, keepdims):
+    """axis=(0, 2) reduces both axes in one node, with numpy's values and
+    shape; its gradient spreads the upstream gradient over both."""
+    x = rng.standard_normal((3, 4, 5))
+    want = getattr(x, op)(axis=(0, 2), keepdims=keepdims)
+    out = getattr(Tensor(x), op)(axis=(0, 2), keepdims=keepdims)
+    assert out.data.shape == want.shape
+    np.testing.assert_allclose(out.data, want, rtol=1e-14)
+    g = Tensor(rng.standard_normal(want.shape))
+    loss = lambda t: (getattr(t, op)(axis=(0, 2), keepdims=keepdims)
+                      * g).sum()
+    assert grad_check(loss, Tensor(x)) <= 1e-6
+
+
 def test_norm_squared_gradient(rng):
     x = Tensor(rng.standard_normal(7), requires_grad=True)
     (x ** 2).sum().backward()

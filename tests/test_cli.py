@@ -1,6 +1,7 @@
 """Command-line surface: every subcommand end to end, error contract,
 config file handling."""
 
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -907,3 +908,80 @@ def test_repeated_config_key_names_the_second_line(capsys, tmp_path):
     assert code == 1
     assert err == f"error: {cfg}:3: duplicate config key 'lr'\n"
     assert not (tmp_path / "corpus").exists()
+
+
+def _hand_written_checkpoint(path, key_lines, records):
+    """save_checkpoint's layout from raw key lines and (name, array)
+    records, which save_checkpoint itself could not repeat or misspell."""
+    blob = "".join(line + "\n" for line in key_lines).encode()
+    parts = [tr.CKPT_MAGIC, struct.pack("<II", tr.CKPT_VERSION, len(blob)),
+             blob, struct.pack("<I", len(records))]
+    for name, arr in records:
+        parts += [struct.pack("<H", len(name)), name.encode(),
+                  struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape),
+                  arr.astype("<f8").tobytes()]
+    path.write_bytes(b"".join(parts))
+
+
+@pytest.mark.parametrize("case, message", [
+    ("repeated-key", "key model.hidden appears twice"),
+    ("repeated-tensor", "tensor pool.u appears twice"),
+    ("key-without-equals", "key line 'garbage' has no '='"),
+], ids=["repeated-key", "repeated-tensor", "key-without-equals"])
+def test_repeated_or_malformed_checkpoint_entry_is_a_one_line_error(
+        cli_workspace, capsys, tmp_path, case, message):
+    """Each of these loaded before: the last of two equal names won, and
+    a line without '=' became a key with an empty value."""
+    ws = cli_workspace
+    config, tensors = tr.load_checkpoint(ws["ckpt"])
+    key_lines = [f"{k}={config[k]}" for k in sorted(config)]
+    records = [(name, tensors[name]) for name in sorted(tensors)]
+    if case == "repeated-key":
+        key_lines.append(f"model.hidden={config['model.hidden']}")
+    elif case == "repeated-tensor":
+        records.append(("pool.u", tensors["pool.u"]))
+    else:
+        key_lines.append("garbage")
+    ckpt = tmp_path / "hand.ckpt"
+    _hand_written_checkpoint(ckpt, key_lines, records)
+    emb = tmp_path / "emb.txt"
+    code, _, err = _run(capsys, "extract", "--checkpoint", str(ckpt),
+                        "--data", str(ws["corpus"] / "manifest.tsv"),
+                        "--out", str(emb))
+    assert code == 1
+    assert err == f"error: {ckpt}: corrupt checkpoint ({message})\n"
+    assert not emb.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_gradcheck_with_no_seed_is_a_one_line_error(capsys, value):
+    code, out, err = _run(capsys, "gradcheck", "--num-seeds", value)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --num-seeds must be >= 1, got {value}\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, message", [
+    (["--duration", "inf"],
+     "duration must be finite and at least one sample (1/16000 s), got inf"),
+    (["--duration", "nan"],
+     "duration must be finite and at least one sample (1/16000 s), got nan"),
+    (["--duration", "0"],
+     "duration must be finite and at least one sample (1/16000 s), got 0.0"),
+    (["--duration", "-1"],
+     "duration must be finite and at least one sample (1/16000 s), got -1.0"),
+    (["--num-target", "-1"], "--num-target must be >= 0, got -1"),
+    (["--num-nontarget", "-1"], "--num-nontarget must be >= 0, got -1"),
+], ids=["duration-inf", "duration-nan", "duration-zero", "duration-negative",
+        "num-target-negative", "num-nontarget-negative"])
+def test_synth_size_out_of_range_is_a_one_line_error_before_writing(
+        capsys, tmp_path, argv, message):
+    """These ended in a traceback or in a numpy error naming no setting,
+    some after every wav was written."""
+    out = tmp_path / "corpus"
+    code, _, err = _run(capsys, "synth", "--out-dir", str(out),
+                        "--speakers", "2", "--utts", "2", *argv)
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert not out.exists()

@@ -178,6 +178,38 @@ def test_resume_state_at_the_edges_of_its_ranges_trains(
     assert tr.load_checkpoint(res.best_path)[0]["train.epoch"] == "3"
 
 
+def test_resume_with_another_validation_split_is_an_error(
+        two_epoch_run, tiny_run_config, tmp_path):
+    """The split is drawn from the seed and validation_fraction; another
+    fraction would train on utterances the first epochs held out."""
+    utts, last = two_epoch_run
+    out = tmp_path / "run"
+    with pytest.raises(ValueError) as exc:
+        tr.train(_tiny_train_config(max_epochs=3, validation_fraction=0.34),
+                 utts, tiny_run_config.model_config(3), out, resume=last)
+    assert str(exc.value) == (f"{last}: checkpoint has "
+                              "train.validation_fraction=0.0, the run has "
+                              "0.34")
+    assert not out.exists()
+
+
+def test_resume_from_a_checkpoint_without_the_split_key_trains(
+        two_epoch_run, tiny_run_config, tmp_path):
+    """A checkpoint written before validation_fraction was a run key
+    resumes as before, to the bytes of a resume from the full one."""
+    utts, last = two_epoch_run
+    config, tensors = tr.load_checkpoint(last)
+    del config["train.validation_fraction"]
+    ckpt = tmp_path / "old.ckpt"
+    tr.save_checkpoint(ckpt, config, tensors)
+    paths = [tr.train(_tiny_train_config(max_epochs=3), utts,
+                      tiny_run_config.model_config(3), tmp_path / name,
+                      resume=resume).last_path
+             for name, resume in (("old", ckpt), ("new", last))]
+    with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+        assert a.read() == b.read()
+
+
 def test_bad_resume_state_is_a_one_line_cli_error(two_epoch_run, tiny_corpus,
                                                   capsys, tmp_path):
     root, _ = tiny_corpus
