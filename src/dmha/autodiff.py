@@ -200,14 +200,6 @@ def _backprop(node: Tensor):
             parent.grad = parent.grad + g
 
 
-def _axes(axis, ndim):
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        return (axis % ndim,)
-    return tuple(a % ndim for a in axis)
-
-
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -328,14 +320,14 @@ def reshape(a, shape) -> Tensor:
 
 def transpose(a, axes=None) -> Tensor:
     a = _wrap(a)
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
-    inv = np.argsort(axes)
+    out = a.data.transpose(axes)
+    order = np.arange(a.ndim)
+    inv = np.argsort(order[::-1] if axes is None else order[list(axes)])
 
     def bw(g):
         return (g.transpose(inv),)
 
-    return _make(a.data.transpose(axes), (a,), bw)
+    return _make(out, (a,), bw)
 
 
 def tslice(a, idx) -> Tensor:
@@ -343,7 +335,7 @@ def tslice(a, idx) -> Tensor:
 
     def bw(g):
         ga = np.zeros_like(a.data)
-        ga[idx] = g
+        np.add.at(ga, idx, g)
         return (ga,)
 
     return _make(a.data[idx], (a,), bw)
@@ -363,14 +355,13 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = _wrap(a)
-    axes = _axes(axis, a.ndim)
 
     def bw(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
+        if not (keepdims or axis is None):
+            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape),)
 
-    return _make(a.data.sum(axis=axes, keepdims=keepdims), (a,), bw)
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw)
 
 
 # ---- linear algebra -------------------------------------------------------
@@ -380,11 +371,6 @@ def matmul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"matmul dimension mismatch: {a.shape} @ {b.shape} "
-            f"(inner {a.shape[1]} != {b.shape[0]})"
-        )
     out = a.data @ b.data
 
     def bw(g):

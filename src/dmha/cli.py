@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -50,7 +51,18 @@ def _at_least(args, low, *flags):
 
 def cmd_synth(args) -> int:
     cfg = _load_run_config(args)
+    _at_least(args, 2, "speakers")
+    _at_least(args, 1, "utts")
     _at_least(args, 0, "num_target", "num_nontarget")
+    sd.check_duration(args.duration)
+    n, k = args.speakers, args.utts
+    pools = {"num_target": n * math.comb(k, 2),         # same-speaker pairs
+             "num_nontarget": math.comb(n, 2) * k * k}  # cross-speaker pairs
+    for flag, pool in pools.items():
+        if getattr(args, flag) > pool:
+            raise ValueError(f"--{flag.replace('_', '-')} must be <= {pool} "
+                             f"for {n} speakers x {k} utterances, got "
+                             f"{getattr(args, flag)}")
     manifest = sd.generate_corpus(args.out_dir, args.speakers, args.utts,
                                   duration_s=args.duration, seed=cfg.seed)
     utts = tr.load_manifest(manifest)

@@ -42,12 +42,8 @@ class ModelConfig:
     m: float = hd.HeadConfig.m
 
     @property
-    def hidden_dim(self) -> int:
-        return enc.output_dim(self.encoder)
-
-    @property
     def head(self) -> hd.HeadConfig:
-        in_dim = pl.pooled_dim(self.pooling_kind, self.hidden_dim,
+        in_dim = pl.pooled_dim(self.pooling_kind, enc.output_dim(self.encoder),
                                self.num_heads)
         return hd.HeadConfig(in_dim=in_dim, hidden=self.hidden,
                              num_speakers=self.num_speakers,
@@ -61,7 +57,7 @@ class SpeakerModel:
         self.config = config
         rng = param_rng_factory(seed)
         self.params: dict[str, Tensor] = enc.init_params(config.encoder, rng)
-        pp = pl.init_params(config.hidden_dim, config.num_heads,
+        pp = pl.init_params(enc.output_dim(config.encoder), config.num_heads,
                             config.pooling_kind, rng)
         self.params["pool.u"] = pp.u
         if pp.u_prime is not None:

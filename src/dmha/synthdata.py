@@ -79,6 +79,13 @@ def synthesize_utterance(spk: SyntheticSpeaker, duration_s: float,
     return 0.3 * out / np.max(np.abs(out))
 
 
+def check_duration(duration_s: float) -> None:
+    """A ValueError unless duration_s is finite and at least one sample."""
+    if not 1 / SAMPLE_RATE <= duration_s < math.inf:
+        raise ValueError(f"duration must be finite and at least one sample "
+                         f"(1/{SAMPLE_RATE} s), got {duration_s}")
+
+
 def generate_corpus(out_dir, num_speakers: int, utts_per_speaker: int,
                     duration_s: float = 4.0, seed: int = 0) -> str:
     """Write WAVs plus a manifest; returns the manifest path.
@@ -90,9 +97,7 @@ def generate_corpus(out_dir, num_speakers: int, utts_per_speaker: int,
         raise ValueError("need at least 2 speakers")
     if utts_per_speaker < 1:
         raise ValueError("need at least 1 utterance per speaker")
-    if not 1 / SAMPLE_RATE <= duration_s < math.inf:
-        raise ValueError(f"duration must be finite and at least one sample "
-                         f"(1/{SAMPLE_RATE} s), got {duration_s}")
+    check_duration(duration_s)
     wav_dir = os.path.join(out_dir, "wav")
     os.makedirs(wav_dir, exist_ok=True)
     manifest = os.path.join(out_dir, "manifest.tsv")

@@ -556,9 +556,8 @@ def train(tconfig: TrainConfig, dataset: list[Utterance],
     best_path, last_path, log_path = (os.path.join(out_dir, name) for name in
                                       ("best.ckpt", "last.ckpt",
                                        "train_log.csv"))
-    start_epoch = state.epoch + 1
     log_rows, anneal_epochs = [], []
-    for epoch in range(start_epoch, tconfig.max_epochs + 1):
+    for epoch in range(state.epoch + 1, tconfig.max_epochs + 1):
         state.epoch = epoch
         train_loss = _run_epoch(state, tconfig, train_utts, label_of, cache,
                                 step_hook)
@@ -582,4 +581,4 @@ def train(tconfig: TrainConfig, dataset: list[Utterance],
     if not os.path.exists(best_path):
         state.save(best_path, tconfig, speakers)
     return TrainResult(best_path, last_path, log_rows, anneal_epochs,
-                       epochs_run=state.epoch - start_epoch + 1)
+                       epochs_run=len(log_rows))

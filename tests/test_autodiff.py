@@ -691,3 +691,121 @@ def test_grad_check_reports_a_wrong_backward(rng):
         assert err == pytest.approx(0.01 / 2.01, rel=1e-4)
     assert not grad_check(sin_with_backward(np.nan), x,
                           max_coords=3) <= ad.TOLERANCE
+
+
+# ---- shape ops: axes and indices as numpy reads them ---------------------------
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4), (3, 3, 3)])
+def test_transpose_with_a_negative_axis_returns_the_gradient_in_place(
+        rng, shape):
+    """(0, -1, 1) is the permutation (0, 2, 1), its own inverse. On a cube
+    a permutation that misreads -1 still gives a gradient of x's shape,
+    with the entries in the wrong places."""
+    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    g = rng.standard_normal((shape[0], shape[2], shape[1]))
+    (x.transpose(0, -1, 1) * Tensor(g)).sum().backward()
+    np.testing.assert_array_equal(x.grad, g.transpose(0, 2, 1))
+
+
+def test_repeated_integer_index_sums_its_gradients():
+    x = Tensor(np.zeros(4), requires_grad=True)
+    (x[np.array([0, 0, 1])] * Tensor([1.0, 2.0, 3.0])).sum().backward()
+    np.testing.assert_array_equal(x.grad, [3.0, 3.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("axis", [3, -4, (1, 3)])
+@pytest.mark.parametrize("op", ["sum", "mean"])
+def test_reduction_over_an_axis_out_of_range_raises(op, axis):
+    """numpy's AxisError is a ValueError; no axis wraps round."""
+    with pytest.raises(ValueError):
+        getattr(Tensor(np.zeros((2, 3, 4))), op)(axis=axis)
+
+
+def _spelled(data, axes, ndim):
+    """axes with each one drawn as itself or as its negative alias."""
+    return tuple(a - ndim if data.draw(st.booleans()) else a for a in axes)
+
+
+def _shape_op(data, family, shape, rng):
+    """A random op of family on a tensor of the given shape."""
+    ndim, n = len(shape), shape[0]
+    if family == "reduce":
+        op = data.draw(st.sampled_from(["sum", "mean"]))
+        axis = data.draw(st.one_of(
+            st.none(), st.integers(-ndim, ndim - 1),
+            st.lists(st.integers(0, ndim - 1), min_size=1, max_size=ndim,
+                     unique=True)))
+        if isinstance(axis, list):
+            axis = _spelled(data, axis, ndim)
+        keepdims = data.draw(st.booleans())
+        return lambda t: getattr(t, op)(axis=axis, keepdims=keepdims)
+    if family == "transpose":
+        axes = _spelled(data, data.draw(st.permutations(range(ndim))), ndim)
+        return lambda t: t.transpose(*axes)
+    if family == "reshape":
+        k = data.draw(st.integers(0, ndim))
+        return lambda t: t.reshape(shape[:k] + (-1,))
+    if family == "concat":
+        axis = data.draw(st.integers(0, ndim - 1))
+        other = Tensor(rng.standard_normal(
+            shape[:axis] + (data.draw(st.integers(1, 3)),) + shape[axis + 1:]))
+        return lambda t: ad.concat([t, other, t], axis=axis - ndim)
+    idx = data.draw(st.one_of(
+        st.integers(-n, n - 1),
+        st.tuples(*(st.slices(s) for s in shape)),
+        st.integers(-shape[-1], shape[-1] - 1).map(lambda i: (..., i)),
+        st.slices(n).map(lambda s: (None, s)),
+        st.lists(st.booleans(), min_size=int(np.prod(shape)),
+                 max_size=int(np.prod(shape))).map(
+            lambda m: np.array(m).reshape(shape)),
+        st.lists(st.integers(-n, n - 1), min_size=1, max_size=5).map(
+            lambda i: np.array(i + i[:1]))))
+    return lambda t: t[idx]
+
+
+@pytest.mark.parametrize("family",
+                         ["reduce", "transpose", "reshape", "concat", "index"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_shape_op_gradients_match_finite_differences(family, data):
+    """Every axis spelling and index kind numpy takes (negative and tuple
+    axes, keepdims, -1 in a shape, Ellipsis, None, masks and repeated
+    integer arrays) gives the float64 finite-difference gradient."""
+    shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1,
+                                     max_size=4)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    f = _shape_op(data, family, shape, rng)
+    x = Tensor(rng.standard_normal(shape))
+    g = Tensor(rng.standard_normal(f(x).shape))
+    assert grad_check(lambda t: (f(t) * g).sum(), x) <= ad.TOLERANCE
+
+
+# ---- input checks ----------------------------------------------------------------
+
+
+def test_conv_rejects_a_2d_input():
+    with pytest.raises(ValueError, match="CHW or BCHW"):
+        ad.conv2d_same(Tensor(np.zeros((4, 4))), Tensor(np.zeros((1, 1, 3, 3))))
+
+
+@pytest.mark.parametrize("kshape", [(2, 1, 5, 5), (2, 1, 9, 1), (2, 1, 3)])
+def test_conv_rejects_a_kernel_that_is_not_3x3(kshape):
+    """(2, 1, 9, 1) has as many values as a 3x3 kernel, so without the
+    check it would be reshaped to one silently."""
+    with pytest.raises(ValueError, match=r"kernel must be \(O,C,3,3\)"):
+        ad.conv2d_same(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros(kshape)))
+
+
+def test_maxpool_rejects_a_2d_input():
+    with pytest.raises(ValueError, match="CHW or BCHW"):
+        ad.maxpool2x2(Tensor(np.zeros((4, 4))))
+
+
+def test_batchnorm_rejects_a_sequence_input():
+    """A (B, T, F) input would broadcast against (F,) parameters without
+    an error, normalising over B alone."""
+    with pytest.raises(ValueError, match=r"expects \(B,F\) input"):
+        ad.batchnorm(Tensor(np.zeros((2, 5, 3))), Tensor(np.ones(3)),
+                     Tensor(np.zeros(3)), BatchNormState.create(3),
+                     training=True)

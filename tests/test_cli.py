@@ -985,3 +985,42 @@ def test_synth_size_out_of_range_is_a_one_line_error_before_writing(
     assert code == 1
     assert err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--speakers", "1"], "--speakers must be >= 2, got 1"),
+    (["--utts", "0"], "--utts must be >= 1, got 0"),
+    (["--num-target", "41"],
+     "--num-target must be <= 40 for 4 speakers x 5 utterances, got 41"),
+    (["--num-nontarget", "151"],
+     "--num-nontarget must be <= 150 for 4 speakers x 5 utterances, got 151"),
+], ids=["one-speaker", "no-utterances", "num-target-past-the-pool",
+        "num-nontarget-past-the-pool"])
+def test_synth_corpus_size_is_checked_before_writing(capsys, tmp_path, argv,
+                                                     message):
+    """4 speakers x 5 utterances give 4 * C(5, 2) = 40 target and
+    C(4, 2) * 5 * 5 = 150 nontarget pairs; asking for more once wrote the
+    whole corpus before the trial list failed, naming no flag."""
+    out = tmp_path / "corpus"
+    code, _, err = _run(capsys, "synth", "--out-dir", str(out),
+                        "--speakers", "4", "--utts", "5", "--duration", "0.5",
+                        "--num-target", "40", "--num-nontarget", "150", *argv)
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_synth_corpus_size_at_the_pool_writes_every_pair(capsys, tmp_path):
+    code, out, _ = _run(capsys, "synth", "--out-dir", str(tmp_path / "c"),
+                        "--speakers", "2", "--utts", "2", "--duration", "0.1",
+                        "--num-target", "2", "--num-nontarget", "4")
+    assert code == 0
+    assert out.endswith("wrote 6 trials to "
+                        f"{tmp_path / 'c' / 'trials.txt'}\n")
+
+
+def test_setting_that_fails_without_a_config_names_no_file(capsys, tmp_path):
+    code, out, err = _run(capsys, "train", "--heads", "3",
+                          "--data", str(tmp_path / "missing.tsv"))
+    assert (code, out) == (1, "")
+    assert err == "error: head count 3 does not divide dim 5120\n"

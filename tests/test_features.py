@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import wave
 
 import numpy as np
 import pytest
@@ -212,3 +213,42 @@ def test_importing_the_front_end_loads_no_training_code(module):
         check=True).stdout
     assert not {"dmha.trainer", "dmha.config", "dmha.model"} & set(
         json.loads(out))
+
+
+# ---- input checks ----------------------------------------------------------------
+
+
+def _write_raw_wav(path, channels, sampwidth):
+    with wave.open(str(path), "wb") as wf:
+        wf.setnchannels(channels)
+        wf.setsampwidth(sampwidth)
+        wf.setframerate(16000)
+        wf.writeframes(bytes(channels * sampwidth * 800))
+
+
+@pytest.mark.parametrize("channels, sampwidth, message", [
+    (2, 2, "expected mono, got 2 channels"),
+    (1, 1, "expected 16-bit PCM, got 8-bit"),
+], ids=["stereo", "8-bit"])
+def test_read_wav_rejects_a_layout_it_cannot_read(tmp_path, channels,
+                                                  sampwidth, message):
+    path = tmp_path / "x.wav"
+    _write_raw_wav(path, channels, sampwidth)
+    with pytest.raises(ValueError) as exc:
+        ft.read_wav(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"hop": 401}, "hop must be <= win_length"),
+    ({"n_mels": 0}, "n_mels must be >= 1"),
+])
+def test_feature_config_rejects_a_hop_past_the_window_and_no_mels(kwargs,
+                                                                  message):
+    with pytest.raises(ValueError, match=message):
+        ft.FeatureConfig(**kwargs)
+
+
+def test_cmn_of_zero_frames_raises():
+    with pytest.raises(ValueError, match="at least one frame"):
+        ft.cmn(np.zeros((0, 3)))

@@ -345,3 +345,9 @@ def test_format_weights_layout(rng):
     assert len(lines) == 4
     assert all(len(line.split()) == 2 for line in lines)
     assert pl.format_weights(w, None).strip().count("\n") == 2
+
+
+def test_pool_rejects_a_u_whose_length_is_not_the_sequence_dim(rng):
+    with pytest.raises(ValueError, match="sequence dim 8 != parameter dim 6"):
+        pl.pool(Tensor(rng.standard_normal((2, 5, 8))),
+                _params(rng.standard_normal(6), 2), "mha")

@@ -2,6 +2,7 @@
 annealing."""
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -441,3 +442,24 @@ def test_train_config_rejects_bad_optimizer_and_split_settings(field, value,
 def test_train_config_accepts_the_edges_of_its_ranges():
     tr.TrainConfig(lr=1e-12, weight_decay=0.0, validation_fraction=0.0)
     tr.TrainConfig(validation_fraction=0.999)
+
+
+# ---- input checks ----------------------------------------------------------------
+
+
+def test_manifest_skips_a_blank_line(tmp_path):
+    path = tmp_path / "m.tsv"
+    path.write_text("spk0\tspk0-u0\t/x/a.wav\n\nspk1\tspk1-u0\t/x/b.wav\n")
+    assert [u.utt_id for u in tr.load_manifest(path)] == ["spk0-u0",
+                                                          "spk1-u0"]
+
+
+def test_checkpoint_tensor_of_a_rank_numpy_cannot_hold_is_corrupt(tmp_path):
+    """65 dims of size 1 are one value, but past numpy's rank limit."""
+    path = tmp_path / "rank65.ckpt"
+    path.write_bytes(tr.CKPT_MAGIC + struct.pack("<III", tr.CKPT_VERSION, 0, 1)
+                     + struct.pack("<H", 1) + b"w" + struct.pack("<B", 65)
+                     + struct.pack("<65I", *[1] * 65) + bytes(8))
+    with pytest.raises(ValueError, match=r"corrupt checkpoint \(tensor w has "
+                                         r"dims \(1, 1,"):
+        tr.load_checkpoint(path)
