@@ -61,9 +61,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     os.makedirs(args.out_dir, exist_ok=True)
+    t0 = time.time()
     train_utts, held_out, trials = build_corpus(args.out_dir, args.seed)
     print(f"corpus: {len(train_utts)} train / {len(held_out)} held-out "
-          f"utterances, {len(trials)} trials")
+          f"utterances, {len(trials)} trials, {time.time() - t0:.1f}s")
 
     baseline = {u.utt_id: log_mel(read_wav(u.path)).mean(axis=0)
                 for u in held_out}

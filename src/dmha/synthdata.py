@@ -3,7 +3,10 @@
 Each speaker is a harmonic voice with its own fundamental frequency and
 harmonic amplitude envelope; utterances jitter the pitch, glide it over
 time, and modulate the harmonic amplitudes, so utterances of one speaker
-are related but not identical frame-wise.
+are related but not identical frame-wise. Only the slow amplitude
+envelopes are computed by angle addition rather than per sample (see
+synthesize_utterance for the bound); the wav bytes are those of the
+per-sample formula.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ SNR_DB = 20.0
 NUM_HARMONICS = 12
 F0_MIN, F0_MAX = 110.0, 320.0
 F0_JITTER = 0.03   # per-utterance relative f0 jitter range
+ENV_BLOCK = 256    # samples per angle-addition step of the envelopes
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,17 @@ def _speaker_bank(num_speakers: int, seed: int) -> list[SyntheticSpeaker]:
 
 def synthesize_utterance(spk: SyntheticSpeaker, duration_s: float,
                          rng) -> np.ndarray:
-    """One harmonic-plus-noise utterance at 16 kHz."""
+    """One harmonic-plus-noise utterance at 16 kHz.
+
+    The vibrato, the carriers and the noise are computed per sample. Each
+    harmonic's 0.5-3 Hz amplitude envelope sin(w*t + phi) is built by angle
+    addition over ENV_BLOCK-sample blocks, sin(a + b) = sin a cos b +
+    cos a sin b, with a the angle at each block's first sample and b the
+    angle step within a block. That moves the float audio by at most about
+    2e-15 from a per-sample sine (under 1e-10 of a 16-bit step), so the
+    wav bytes are the same. The RNG draws are those of the per-sample
+    formula, in the same order.
+    """
     n = int(round(duration_s * SAMPLE_RATE))
     t = np.arange(n) / SAMPLE_RATE
     f0 = spk.f0 * (1.0 + rng.uniform(-F0_JITTER, F0_JITTER))
@@ -65,13 +79,28 @@ def synthesize_utterance(spk: SyntheticSpeaker, duration_s: float,
     # additive in the log-mel domain, so CMN cancels it but raw averaged
     # mel features do not
     channel = np.exp(np.cumsum(rng.normal(0.0, 0.35, size=len(spk.harmonic_gains))))
+    # sample q*ENV_BLOCK + j sits at block_t[q] + step_t[j]
+    block_t = t[::ENV_BLOCK, None]
+    step_t = np.arange(ENV_BLOCK) / SAMPLE_RATE
+    am = np.empty((len(block_t), ENV_BLOCK))
+    carrier = np.empty_like(am)   # first holds cos a * sin b
+    am_n, carrier_n = am.reshape(-1)[:n], carrier.reshape(-1)[:n]
     sig = np.zeros(n)
     for k, gain in enumerate(spk.harmonic_gains, start=1):
-        am_rate = rng.uniform(0.5, 3.0)
-        am_phase = rng.uniform(0, 2 * np.pi)
-        am = 1.0 + 0.4 * np.sin(2 * np.pi * am_rate * t + am_phase)
-        sig += gain * channel[k - 1] * am * np.sin(
-            k * phase + rng.uniform(0, 2 * np.pi))
+        am_w = 2 * np.pi * rng.uniform(0.5, 3.0)
+        a = am_w * block_t + rng.uniform(0, 2 * np.pi)
+        b = am_w * step_t
+        np.multiply(np.sin(a), np.cos(b), out=am)
+        np.multiply(np.cos(a), np.sin(b), out=carrier)
+        am += carrier
+        am *= 0.4
+        am += 1.0
+        am *= gain * channel[k - 1]
+        np.multiply(phase, k, out=carrier_n)
+        carrier_n += rng.uniform(0, 2 * np.pi)
+        np.sin(carrier_n, out=carrier_n)
+        am_n *= carrier_n
+        sig += am_n
     sig /= np.sqrt(np.mean(sig ** 2))
     noise = rng.standard_normal(n)
     noise *= 10.0 ** (-SNR_DB / 20.0) / np.sqrt(np.mean(noise ** 2))
@@ -91,7 +120,10 @@ def generate_corpus(out_dir, num_speakers: int, utts_per_speaker: int,
     """Write WAVs plus a manifest; returns the manifest path.
 
     Deterministic under seed: every utterance has its own RNG stream
-    derived from (seed, speaker index, utterance index).
+    derived from (seed, speaker index, utterance index). Any old manifest
+    is removed before the first wav, and the new one is written to a
+    temporary file that is renamed into place after the last wav, so a
+    failed run leaves no manifest.
     """
     if num_speakers < 2:
         raise ValueError("need at least 2 speakers")
@@ -101,16 +133,24 @@ def generate_corpus(out_dir, num_speakers: int, utts_per_speaker: int,
     wav_dir = os.path.join(out_dir, "wav")
     os.makedirs(wav_dir, exist_ok=True)
     manifest = os.path.join(out_dir, "manifest.tsv")
-    with open(manifest, "w") as mf:
-        for si, spk in enumerate(_speaker_bank(num_speakers, seed)):
-            for ui in range(utts_per_speaker):
-                rng = np.random.default_rng(
-                    [seed, zlib.crc32(b"utt"), si, ui])
-                audio = synthesize_utterance(spk, duration_s, rng)
-                uid = f"{spk.id}-u{ui:03d}"
-                path = os.path.join(wav_dir, uid + ".wav")
-                write_wav(path, audio)
-                mf.write(f"{spk.id}\t{uid}\t{path}\n")
+    tmp = manifest + ".tmp"
+    if os.path.exists(manifest):
+        os.remove(manifest)
+    try:
+        with open(tmp, "w") as mf:
+            for si, spk in enumerate(_speaker_bank(num_speakers, seed)):
+                for ui in range(utts_per_speaker):
+                    rng = np.random.default_rng(
+                        [seed, zlib.crc32(b"utt"), si, ui])
+                    audio = synthesize_utterance(spk, duration_s, rng)
+                    uid = f"{spk.id}-u{ui:03d}"
+                    path = os.path.join(wav_dir, uid + ".wav")
+                    write_wav(path, audio)
+                    mf.write(f"{spk.id}\t{uid}\t{path}\n")
+        os.replace(tmp, manifest)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return manifest
 
 

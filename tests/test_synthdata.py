@@ -1,7 +1,11 @@
 """Synthetic corpus: determinism, speaker separation, trial construction."""
 
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmha import features as ft
 from dmha import synthdata as sd
@@ -118,3 +122,91 @@ def test_make_trials_deterministic(tiny_corpus):
     t2 = sd.make_trials(utts, 4, 4, seed=5)
     assert [(t.label, t.enroll_id, t.test_id) for t in t1] == \
         [(t.label, t.enroll_id, t.test_id) for t in t2]
+
+
+def test_failed_corpus_leaves_no_manifest(tmp_path, monkeypatch):
+    """A corpus that fails part-way leaves no manifest, neither a partial
+    new one nor the old one, which would name wavs now overwritten."""
+    sd.generate_corpus(tmp_path, 2, 3, duration_s=0.05, seed=1)
+    calls = []
+
+    def failing_write_wav(path, audio):
+        calls.append(path)
+        if len(calls) == 4:
+            raise OSError("disk full")
+        ft.write_wav(path, audio)
+
+    monkeypatch.setattr(sd, "write_wav", failing_write_wav)
+    with pytest.raises(OSError, match="disk full"):
+        sd.generate_corpus(tmp_path, 2, 3, duration_s=0.05, seed=2)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wav"]
+
+
+def _reference_utterance(spk, duration_s, rng):
+    """synthesize_utterance with a per-sample sine for every envelope."""
+    n = int(round(duration_s * sd.SAMPLE_RATE))
+    t = np.arange(n) / sd.SAMPLE_RATE
+    f0 = spk.f0 * (1.0 + rng.uniform(-sd.F0_JITTER, sd.F0_JITTER))
+    glide = rng.uniform(-0.04, 0.04)
+    vib_rate = rng.uniform(3.0, 7.0)
+    vib_depth = rng.uniform(0.0, 0.02)
+    inst_f0 = f0 * (1.0 + glide * t / duration_s
+                    + vib_depth * np.sin(2 * np.pi * vib_rate * t))
+    phase = 2 * np.pi * np.cumsum(inst_f0) / sd.SAMPLE_RATE
+    channel = np.exp(np.cumsum(rng.normal(0.0, 0.35,
+                                          size=len(spk.harmonic_gains))))
+    sig = np.zeros(n)
+    for k, gain in enumerate(spk.harmonic_gains, start=1):
+        am_rate = rng.uniform(0.5, 3.0)
+        am_phase = rng.uniform(0, 2 * np.pi)
+        am = 1.0 + 0.4 * np.sin(2 * np.pi * am_rate * t + am_phase)
+        sig += gain * channel[k - 1] * am * np.sin(
+            k * phase + rng.uniform(0, 2 * np.pi))
+    sig /= np.sqrt(np.mean(sig ** 2))
+    noise = rng.standard_normal(n)
+    noise *= 10.0 ** (-sd.SNR_DB / 20.0) / np.sqrt(np.mean(noise ** 2))
+    out = sig + noise
+    return 0.3 * out / np.max(np.abs(out))
+
+
+def _utt_rng(seed, si, ui):
+    return np.random.default_rng([seed, zlib.crc32(b"utt"), si, ui])
+
+
+# (seed, speakers, utterances per speaker, duration in s); every utterance
+# of the first `speakers x utterances` is checked
+ORACLE_CORPORA = {
+    "acceptance5-u000": (42, 16, 1, 4.0),
+    "ci-pipeline": (11, 4, 5, 1.5),
+    "conftest": (7, 3, 3, 1.2),
+    **{f"len{n}": (3, 2, 1, n / sd.SAMPLE_RATE)
+       for n in (1, 255, 256, 257, 5333)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CORPORA))
+def test_utterances_match_per_sample_oracle_in_pcm(case, tmp_path):
+    """Same 16-bit samples as the per-sample envelope, and the generator
+    ends in the same state."""
+    seed, num_speakers, utts, duration_s = ORACLE_CORPORA[case]
+    for si, spk in enumerate(sd._speaker_bank(num_speakers, seed)):
+        for ui in range(utts):
+            rng, ref_rng = _utt_rng(seed, si, ui), _utt_rng(seed, si, ui)
+            ft.write_wav(tmp_path / "a.wav",
+                         sd.synthesize_utterance(spk, duration_s, rng))
+            ft.write_wav(tmp_path / "b.wav",
+                         _reference_utterance(spk, duration_s, ref_rng))
+            assert (tmp_path / "a.wav").read_bytes() == \
+                (tmp_path / "b.wav").read_bytes(), (si, ui)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), si=st.integers(0, 15),
+       ui=st.integers(0, 99), n=st.integers(1, 3000))
+@settings(max_examples=60, deadline=None)
+def test_envelope_angle_addition_error_bound(seed, si, ui, n):
+    spk = sd._speaker_bank(16, seed)[si]
+    got = sd.synthesize_utterance(spk, n / sd.SAMPLE_RATE, _utt_rng(seed, si, ui))
+    ref = _reference_utterance(spk, n / sd.SAMPLE_RATE, _utt_rng(seed, si, ui))
+    assert got.shape == ref.shape == (n,)
+    assert np.max(np.abs(got - ref)) <= 1e-13
