@@ -20,6 +20,12 @@ ReLU node share it, and its backward is relu's. It is for a fresh
 intermediate whose value no backward reads; the caller states why that
 holds, and a tensor with requires_grad=True is refused.
 
+maxpool2x2 keeps a uint8 winner code per window for its backward, not its
+input. maxpool2x2_ goes one step further for a fresh intermediate: the
+pool node takes over its input's node (its parents and backward), so the
+graph no longer reaches the full-resolution input at all. The same
+refusal holds, and the input is left consumed.
+
 The conv is a column-tiled im2col GEMM on a channel-major, batch-folded
 padded buffer (C, B*(H+2)*(W+2)): each of the nine taps is a column slice
 of that buffer, shifted by the tap's offset. One tile of TILE output
@@ -195,7 +201,10 @@ def _backprop(node: Tensor):
         if g.dtype != parent.data.dtype:
             g = g.astype(parent.data.dtype)
         if parent.grad is None:
-            parent.grad = g.copy() if g.base is not None else g
+            # a leaf keeps its gradient, so it gets its own; an inner
+            # node's is read once by its backward, and a view serves
+            parent.grad = (g.copy() if parent.requires_grad
+                           and g.base is not None else g)
         else:
             parent.grad = parent.grad + g
 
@@ -204,9 +213,15 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _tracks(parents) -> bool:
+    """Whether an op on parents records a node: grad mode is on and some
+    parent leads to a tensor that requires grad."""
+    return _grad_enabled and any(p.requires_grad_path() for p in parents)
+
+
 def _make(data, parents, backward) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad_path() for p in parents):
+    if _tracks(parents):
         out._parents = tuple(parents)
         out._backward = backward
     return out
@@ -511,16 +526,18 @@ def conv2d_same(x, w, b=None) -> Tensor:
         gf = _pad_fold(g, Lp)
         gem = gf[:, Wp + 1:Wp + 1 + Mp]
         gx = gw = None
+        if w.requires_grad_path():
+            gwm = np.zeros((9 * C, O), dtype=w.data.dtype)
+            for c0, c1, patch in _patches(_pad_fold(xd, Lp), Mp, Wp):
+                gwm += patch @ gem[:, c0:c1].T
+            # else the last tile's patch lives on through the gx GEMMs
+            del patch
+            gw = gwm.reshape(3, 3, C, O).transpose(3, 2, 0, 1)
         if x.requires_grad_path():
             wflip = wd[:, :, ::-1, ::-1].transpose(1, 2, 3, 0)
             gxf = _conv_grid(wflip.reshape(C, 9 * O), gf, Mp, Wp)
             gx = gxf[:, :L].reshape(C, B, Hp, Wp)[:, :, :H, :W]
             gx = gx.transpose(1, 0, 2, 3)
-        if w.requires_grad_path():
-            gwm = np.zeros((9 * C, O), dtype=w.data.dtype)
-            for c0, c1, patch in _patches(_pad_fold(xd, Lp), Mp, Wp):
-                gwm += patch @ gem[:, c0:c1].T
-            gw = gwm.reshape(3, 3, C, O).transpose(3, 2, 0, 1)
         grads = [gx, gw]
         if b is not None:
             grads.append(gem.sum(axis=1, dtype=b.data.dtype))
@@ -532,10 +549,11 @@ def conv2d_same(x, w, b=None) -> Tensor:
 def maxpool2x2(x) -> Tensor:
     """2x2/2x2 max pooling; odd trailing rows/cols dropped, ties: first wins.
 
-    x: (B,C,H,W); an unbatched (C,H,W) x runs as a batch of one. The
-    forward keeps only the max; the backward routes each window's gradient
-    to the first corner, in row-major window order, that equals it, and
-    gives the other corners g * 0 (a zero, signed like g)."""
+    x: (B,C,H,W); an unbatched (C,H,W) x runs as a batch of one. When it
+    records a node, the forward keeps a uint8 winner code per window, not
+    x: the first corner, in row-major window order, that equals the max,
+    or 4 when none does (a NaN window). The backward gives that corner g
+    and the other corners g * 0 (a zero, signed like g)."""
     x = _wrap(x)
     if x.ndim == 3:
         return maxpool2x2(x.reshape((1,) + x.shape))[0]
@@ -557,17 +575,48 @@ def maxpool2x2(x) -> Tensor:
     out = np.maximum(q[0], q[1], out=np.empty((B, C, Ho, Wo), dtype=xd.dtype))
     np.maximum(out, q[2], out=out)
     np.maximum(out, q[3], out=out)
+    if not _tracks((x,)):
+        return Tensor(out)
+    # code = ne0 * (1 + ne1 * (1 + ne2 * (1 + ne3))), nek the mask of
+    # corner k != max, built from the last corner back in uint8
+    code = np.not_equal(q[3], out).view(np.uint8)
+    ne = np.empty(out.shape, dtype=bool)
+    for qk in q[2::-1]:
+        code += 1
+        code *= np.not_equal(qk, out, out=ne)
+    shape, dtype = xd.shape, xd.dtype   # bw must not hold xd
 
     def bw(g):
-        gx = np.zeros_like(xd)
-        free = np.ones(out.shape, dtype=bool)   # windows not yet routed
-        for qk, gk in zip(q, corners(gx)):
-            hit = free & (qk == out)
-            np.multiply(g, hit, out=gk)   # dense; a masked copy is slower
-            free ^= hit
+        gx = np.zeros(shape, dtype=dtype)
+        for k, gk in enumerate(corners(gx)):
+            # dense; a masked copy is slower
+            np.multiply(g, code == k, out=gk)
         return (gx,)
 
     return _make(out, (x,), bw)
+
+
+def maxpool2x2_(x: Tensor) -> Tensor:
+    """maxpool2x2 that takes over x's node, as relu_ takes over x's buffer:
+    the pool node gets x's parents, its backward runs the pool's backward
+    and then x's, and x is left consumed, so the graph no longer reaches
+    x's full-resolution value. x must be a fresh (B,C,H,W) intermediate
+    that nothing else reads (a conv output, say). A tensor with
+    requires_grad=True is refused, and a second consumer of x fails its
+    backward with the consumed-graph ValueError."""
+    if x.requires_grad:
+        raise ValueError("maxpool2x2_ would take over a tensor that requires "
+                         "grad")
+    if x.ndim != 4:
+        raise ValueError(f"maxpool2x2_ input must be BCHW, got {x.shape}")
+    # through the module global, so a wrapper installed there sees the call
+    out = maxpool2x2(x)
+    pool_bw, x_bw = out._backward, x._backward
+    if pool_bw is not None:
+        out._parents = x._parents
+        out._backward = lambda g: x_bw(pool_bw(g)[0])
+        x._parents, x._backward = (), _consumed
+    return out
 
 
 # ---- batchnorm ------------------------------------------------------------

@@ -10,11 +10,13 @@ NaN out either way), and the gradient routes to the same corner; but the
 ReLU runs on a quarter of the pixels, and the graph keeps no full-resolution
 post-ReLU copy of the conv2 output.
 
-Both ReLUs run in place (autodiff.relu_), so in training a block keeps
-three arrays for its backward: the conv1 output, rectified, which conv2
-reads; the conv2 output, which the maxpool reads; and the pooled map,
-rectified, which the next block reads. The pre-ReLU copies are never
-made. Overwriting is safe because no backward reads the value it
+Both ReLUs run in place (autodiff.relu_), and the pool takes over the
+conv2 node (autodiff.maxpool2x2_), so in training a block keeps three
+arrays for its backward: the conv1 output, rectified, which conv2 reads;
+a one-byte winner code per pooling window, taken before the ReLU
+overwrites the pooled map; and the pooled map, rectified, which the next
+block reads. The pre-ReLU copies and the full-resolution conv2 output are
+not kept. Overwriting is safe because no backward reads the value it
 overwrites (see encode).
 """
 
@@ -102,12 +104,13 @@ def encode(mel, params: dict, config: EncoderConfig) -> Tensor:
         conv1, conv2 = ((params[f"enc.b{b}.conv{k}.w"],
                          params[f"enc.b{b}.conv{k}.b"]) for k in (1, 2))
         # both ReLUs overwrite their input. conv2d_same's backward reads its
-        # input and weights, never its output. maxpool2x2's backward routes
-        # each window's gradient to the corner equal to its saved max; a
-        # window whose max was negative now reads 0, matches no corner and
-        # routes nothing, where the ReLU's backward would have zeroed it
+        # input and weights, never its output, so the pool can take over
+        # the conv2 node and the graph drops the conv2 output. The pool's
+        # backward reads only its winner codes, taken before the second
+        # ReLU overwrites the max; a window whose max was negative routes
+        # the ReLU's zero gradient to its winner
         x = ad.relu_(ad.conv2d_same(x, *conv1))
-        x = ad.relu_(ad.maxpool2x2(ad.conv2d_same(x, *conv2)))
+        x = ad.relu_(ad.maxpool2x2_(ad.conv2d_same(x, *conv2)))
     # (B, M, T, D') -> (B, T, M, D') -> (B, T, M*D'), channel-major
     x = x.transpose(0, 2, 1, 3)
     h = ad.cast(x.reshape((B, x.shape[1], x.shape[2] * x.shape[3])),

@@ -118,8 +118,9 @@ class SpeakerModel:
         return out
 
     def load_state_tensors(self, tensors: dict[str, np.ndarray], source):
-        """Load state_tensors()-named arrays; a tensor that is missing or
-        has the wrong shape is a ValueError naming source and the tensor."""
+        """Load state_tensors()-named arrays; a tensor that is missing, has
+        the wrong shape or holds a NaN or inf is a ValueError naming source
+        and the tensor."""
         for name, t in self.state_tensors().items():
             if name not in tensors:
                 raise ValueError(f"{source}: tensor {name} is missing")
@@ -127,6 +128,8 @@ class SpeakerModel:
                 raise ValueError(
                     f"{source}: tensor {name} has shape "
                     f"{tensors[name].shape}, the model needs {t.shape}")
+            if not np.isfinite(tensors[name]).all():
+                raise ValueError(f"{source}: tensor {name} is not finite")
         for name, t in self.params.items():
             t.data = np.array(tensors[name], dtype=np.float64)
         for name, st in self.bn_states.items():

@@ -366,8 +366,9 @@ class TrainState:
         training state, of other speakers, of another model or run setting
         (_run_keys), with misshapen Adam moments or with no epoch left to
         train is a ValueError naming path, as is an lr that TrainConfig
-        rejects, a negative epoch, step or plateau count, or a NaN best_val
-        (+inf is a run that never improved)."""
+        rejects, a negative epoch, step or plateau count, a NaN or negative
+        best_val (+inf is a run that never improved; a loss is >= 0) or a
+        non-finite Adam moment."""
         config, tensors = checkpoint = load_checkpoint(path)
         model, _ = load_model(path, checkpoint)
         # the model.* values as save() would write them
@@ -392,6 +393,9 @@ class TrainState:
                         since_improve=count("train.since_improve"))
             if math.isnan(state.best_val):
                 raise ValueError("train.best_val is nan")
+            if state.best_val < 0:
+                raise ValueError(f"train.best_val={state.best_val} is "
+                                 "negative")
             trained_on = config["speakers"].split(",")
             mismatch = [(key, config[key], want) for key, want in
                         _run_keys(model_config, tconfig).items()
@@ -421,6 +425,9 @@ class TrainState:
                     raise ValueError(
                         f"{path}: tensor {key + name} is missing or its "
                         f"shape is not {p.data.shape}")
+                if not np.isfinite(moment).all():
+                    raise ValueError(f"{path}: tensor {key + name} is not "
+                                     "finite")
                 moments[name] = moment
         return state
 

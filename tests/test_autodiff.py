@@ -391,6 +391,96 @@ def test_maxpool_float32_matches_window_oracle_with_ties(rng):
     np.testing.assert_array_equal(xt.grad, expected)
 
 
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), batch=st.integers(1, 2),
+       cin=st.integers(1, 3), cout=st.integers(1, 3), h=st.integers(2, 7),
+       w=st.integers(2, 7), dtype=st.sampled_from([np.float32, np.float64]),
+       nan=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_pool_takeover_matches_relu_then_pool_bit_for_bit(
+        seed, batch, cin, cout, h, w, dtype, nan):
+    """relu_(maxpool2x2_(conv)) gives the values and the x, w and b
+    gradients of relu(maxpool2x2(conv)) bit for bit, and the window
+    oracle's: small integers make ties and negative-max windows, h and w
+    run odd, and a NaN pixel makes NaN windows."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.integers(-2, 3, size=(batch, cin, h, w)).astype(dtype)
+    if nan:
+        x0[0, 0, rng.integers(h), rng.integers(w)] = np.nan
+    w0 = rng.integers(-1, 2, size=(cout, cin, 3, 3)).astype(float)
+    b0 = rng.integers(-1, 2, size=cout).astype(float)
+    g = rng.standard_normal((batch, cout, h // 2, w // 2)).astype(dtype)
+
+    def leaves():
+        return [Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0)]
+
+    runs = []
+    for pool, relu in ((ad.maxpool2x2_, ad.relu_), (ad.maxpool2x2, ad.relu)):
+        params = leaves()
+        out = relu(pool(ad.conv2d_same(*params)))
+        (out * Tensor(g)).sum().backward()
+        runs.append([out.data] + [t.grad for t in params])
+    for new, ref in zip(*runs):
+        assert _bits(new) == _bits(ref)
+    # the oracle: its max, rectified, and the ReLU's gradient routed to
+    # each window's argmax, back through the conv
+    params = leaves()
+    conv = ad.conv2d_same(*params)
+    ref, src = _maxpool_oracle(conv.data)
+    np.testing.assert_array_equal(runs[0][0], np.maximum(ref, 0))
+    g_conv = np.zeros(conv.shape, dtype=dtype)
+    for idx, at in src.items():
+        g_conv[at] = g[idx] * (ref[idx] > 0)
+    (conv * Tensor(g_conv)).sum().backward()
+    for new, t in zip(runs[0][1:], params):
+        np.testing.assert_array_equal(new, t.grad)
+
+
+def test_pool_takeover_drops_the_input_from_the_graph(rng):
+    """The pool node gets its input's parents, so the graph no longer
+    reaches the input; with no graph to record, the input is untouched."""
+    x = Tensor(rng.standard_normal((2, 3, 4, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 3, 3, 3)), requires_grad=True)
+    conv = ad.conv2d_same(x, w)
+    out = ad.maxpool2x2_(conv)
+    assert out._parents == (x, w)
+    with pytest.raises(ValueError, match="consumed"):
+        conv._backward(np.ones(conv.shape))
+    with ad.no_grad():
+        conv = ad.conv2d_same(x, w)
+        out = ad.maxpool2x2_(conv)
+    assert out._backward is None and conv._backward is None
+    np.testing.assert_array_equal(out.data, ad.maxpool2x2(conv).data)
+
+
+def test_pool_takeover_refuses_a_leaf_or_a_chw_map():
+    """A leaf's caller still reads it; a CHW map pools as a view of a
+    batch of one, whose node is not the one the pool would take over."""
+    x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
+    with pytest.raises(ValueError, match="requires grad"):
+        ad.maxpool2x2_(x)
+    with pytest.raises(ValueError, match="must be BCHW"):
+        ad.maxpool2x2_(ad.scale(x[0], 1.0))
+
+
+@pytest.mark.parametrize("second_first", [True, False])
+def test_pool_takeover_second_consumer_raises(rng, second_first):
+    """A second reader of a taken-over tensor, made before or after the
+    pool, fails the backward instead of dropping its gradient."""
+    x = Tensor(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
+    mid = ad.scale(x, 2.0)
+    second = ad.relu(mid) if second_first else None
+    pooled = ad.maxpool2x2_(mid)
+    if second is None:
+        second = ad.relu(mid)
+    loss = pooled.sum() + second.sum()
+    with pytest.raises(ValueError, match="consumed"):
+        loss.backward()
+
+
 # ---- softmax ----------------------------------------------------------------
 
 

@@ -488,6 +488,30 @@ def test_checkpoint_tensor_missing_or_misshapen_is_a_one_line_error(
     assert not emb.exists()
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("enc.b2.conv1.w", np.nan),
+    ("head.fc1.w", np.inf),
+    ("head.bn1.running_var", -np.inf),
+], ids=["nan-weight", "inf-weight", "inf-bn-stat"])
+def test_checkpoint_tensor_not_finite_is_a_one_line_error(
+        cli_workspace, capsys, tmp_path, name, bad):
+    """A NaN or inf in a model tensor stops extract with one line, before
+    it writes embeddings its own reader would reject."""
+    ws = cli_workspace
+    config, tensors = tr.load_checkpoint(ws["ckpt"])
+    assert name in tensors
+    tensors[name].reshape(-1)[-1] = bad
+    ckpt = tmp_path / "bad.ckpt"
+    tr.save_checkpoint(ckpt, config, tensors)
+    emb = tmp_path / "emb.txt"
+    code, _, err = _run(capsys, "extract", "--checkpoint", str(ckpt),
+                        "--data", str(ws["corpus"] / "manifest.tsv"),
+                        "--out", str(emb))
+    assert code == 1
+    assert err == f"error: {ckpt}: tensor {name} is not finite\n"
+    assert not emb.exists()
+
+
 def test_embedding_count_mismatch_names_the_file(capsys, tmp_path):
     emb = tmp_path / "emb.txt"
     emb.write_text("dim=2 count=3\na 1 0\nb 1 1\n")

@@ -162,6 +162,42 @@ def test_resume_state_outside_its_range_is_an_error_before_anything_is_written(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["-inf", "-0.5"])
+def test_resume_with_a_negative_best_val_is_an_error(
+        two_epoch_run, tiny_run_config, tmp_path, value):
+    """A loss is never negative, and with best_val -inf no resumed epoch
+    would ever improve on it and write best.ckpt."""
+    utts, last = two_epoch_run
+    ckpt = tmp_path / "resume.ckpt"
+    _resume_checkpoint_with(last, ckpt, "train.best_val", value)
+    out = tmp_path / "run"
+    with pytest.raises(ValueError) as exc:
+        tr.train(_tiny_train_config(max_epochs=3), utts,
+                 tiny_run_config.model_config(3), out, resume=ckpt)
+    assert str(exc.value) == (f"{ckpt}: bad training state: "
+                              f"train.best_val={float(value)} is negative")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_resume_with_a_non_finite_adam_moment_is_an_error(
+        two_epoch_run, tiny_run_config, tmp_path, bad):
+    """A NaN or inf moment would turn the first resumed step's update, and
+    so every weight it reaches, into NaN."""
+    utts, last = two_epoch_run
+    config, tensors = tr.load_checkpoint(last)
+    name = min(k for k in tensors if k.startswith("adam.m."))
+    tensors[name].reshape(-1)[0] = bad
+    ckpt = tmp_path / "resume.ckpt"
+    tr.save_checkpoint(ckpt, config, tensors)
+    out = tmp_path / "run"
+    with pytest.raises(ValueError) as exc:
+        tr.train(_tiny_train_config(max_epochs=3), utts,
+                 tiny_run_config.model_config(3), out, resume=ckpt)
+    assert str(exc.value) == f"{ckpt}: tensor {name} is not finite"
+    assert not out.exists()
+
+
 def test_resume_state_at_the_edges_of_its_ranges_trains(
         two_epoch_run, tiny_run_config, tmp_path):
     """A best_val of +inf (no epoch ever improved) and zero counts are a
