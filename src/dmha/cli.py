@@ -54,6 +54,9 @@ def cmd_synth(args) -> int:
     _at_least(args, 2, "speakers")
     _at_least(args, 1, "utts")
     _at_least(args, 0, "num_target", "num_nontarget")
+    if args.num_target == args.num_nontarget == 0:
+        raise ValueError("--num-target and --num-nontarget are both 0, so "
+                         "the trial list would be empty")
     sd.check_duration(args.duration)
     n, k = args.speakers, args.utts
     pools = {"num_target": n * math.comb(k, 2),         # same-speaker pairs
@@ -102,18 +105,18 @@ def _dump_paths(manifest, dump_dir, uids) -> dict:
     """Each uid's weight-dump path under dump_dir; an id with '/' gets
     subdirectories. An id whose dump would leave dump_dir, or two ids that
     need one path (as both their dumps, or as one's dump and the other's
-    directory), are a ValueError."""
+    directory), are a FormatError naming the manifest."""
     def clash(a, b, rel):
-        return ValueError(f"{manifest}: utterance ids {a} and {b} both need "
-                          f"{os.path.join(dump_dir, rel)} for their weight "
-                          f"dumps")
+        return mt.FormatError(manifest, f"utterance ids {a} and {b} both need "
+                              f"{os.path.join(dump_dir, rel)} for their "
+                              "weight dumps")
 
     owner = {}   # normalised path under dump_dir -> the id whose dump it is
     for uid in uids:
         rel = os.path.normpath(uid + ".weights")
         if os.path.isabs(rel) or rel.split(os.sep)[0] == os.pardir:
-            raise ValueError(f"{manifest}: utterance id {uid} would put its "
-                             f"weight dump outside {dump_dir}")
+            raise mt.FormatError(manifest, f"utterance id {uid} would put "
+                                 f"its weight dump outside {dump_dir}")
         if rel in owner:
             raise clash(owner[rel], uid, rel)
         owner[rel] = uid
@@ -134,7 +137,7 @@ def cmd_extract(args) -> int:
     mdl.write_embeddings(args.out, embeddings)
     for uid, path in dumps.items():
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as f:
+        with open(path, "w", encoding="utf-8") as f:
             f.write(pl.format_weights(*weights[uid]))
     print(f"wrote {len(embeddings)} embeddings to {args.out}")
     return 0

@@ -8,7 +8,7 @@ from typing import get_type_hints
 
 from .encoder import EncoderConfig
 from .features import FeatureConfig
-from .metrics import text_lines
+from .metrics import naming, text_lines
 from .model import ModelConfig
 from .trainer import TrainConfig, parse_value
 
@@ -63,26 +63,24 @@ def _from_fields(cls, cfg: RunConfig):
 
 def load_config(path) -> RunConfig:
     """Read "key = value" lines; '#' starts a comment; blank lines ignored.
-    An unknown or repeated key or a malformed value is a ValueError naming
+    An unknown or repeated key or a malformed value is a FormatError naming
     path:line."""
     types = get_type_hints(RunConfig)
     overrides = {}
     for lineno, line in text_lines(path):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, raw = line.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key not in types:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in overrides:
-            raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
-        try:
+        with naming(path, lineno):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError("expected 'key = value'")
+            key, _, raw = line.partition("=")
+            key, raw = key.strip(), raw.strip()
+            if key not in types:
+                raise ValueError(f"unknown config key {key!r}")
+            if key in overrides:
+                raise ValueError(f"duplicate config key {key!r}")
             overrides[key] = parse_value(key, types[key], raw)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return RunConfig(**overrides)
 
 

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import naming
+
 ENERGY_FLOOR = 1e-10
 
 
@@ -34,27 +36,32 @@ class FeatureConfig:
 
 def read_wav(path) -> np.ndarray:
     """Read a 16 kHz 16-bit PCM mono RIFF wav into float64 in [-1, 1]; a
-    file that is not one is a ValueError naming path."""
-    try:
-        with wave.open(str(path), "rb") as wf:
-            if wf.getnchannels() != 1:
-                raise ValueError(f"{path}: expected mono, got {wf.getnchannels()} channels")
-            if wf.getsampwidth() != 2:
-                raise ValueError(f"{path}: expected 16-bit PCM, got {8 * wf.getsampwidth()}-bit")
-            if wf.getframerate() != 16000:
-                raise ValueError(f"{path}: expected 16000 Hz, got {wf.getframerate()} Hz "
-                                 "(no resampling)")
-            declared = wf.getnframes()
-            raw = wf.readframes(declared)
-    except (wave.Error, EOFError) as exc:
-        raise ValueError(f"{path}: not a PCM wav file "
-                         f"({exc or 'truncated header'})") from None
-    if len(raw) % 2:
-        raise ValueError(f"{path}: truncated in the middle of a sample")
-    if len(raw) != 2 * declared:
-        raise ValueError(f"{path}: truncated: {len(raw) // 2} of the "
-                         f"{declared} samples the header declares")
-    return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    file that is not one is a FormatError."""
+    with naming(path):
+        try:
+            with wave.open(str(path), "rb") as wf:
+                if wf.getnchannels() != 1:
+                    raise ValueError("expected mono, got "
+                                     f"{wf.getnchannels()} channels")
+                if wf.getsampwidth() != 2:
+                    raise ValueError("expected 16-bit PCM, got "
+                                     f"{8 * wf.getsampwidth()}-bit")
+                if wf.getframerate() != 16000:
+                    raise ValueError(f"expected 16000 Hz, got "
+                                     f"{wf.getframerate()} Hz (no resampling)")
+                declared = wf.getnframes()
+                raw = wf.readframes(declared)
+        # a chunk size past the chunk's end makes wave's seek raise a bare
+        # RuntimeError
+        except (wave.Error, EOFError, RuntimeError) as exc:
+            raise ValueError("not a PCM wav file "
+                             f"({str(exc) or 'truncated header'})") from None
+        if len(raw) % 2:
+            raise ValueError("truncated in the middle of a sample")
+        if len(raw) != 2 * declared:
+            raise ValueError(f"truncated: {len(raw) // 2} of the "
+                             f"{declared} samples the header declares")
+        return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
 
 def write_wav(path, audio: np.ndarray, sample_rate: int = 16000):
@@ -142,9 +149,6 @@ def cmn(m: np.ndarray) -> np.ndarray:
 
 def utterance_features(path, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
     """wav path -> CMN-normalized N x n_mels log-mel matrix; audio shorter
-    than one window is a ValueError naming path."""
-    audio = read_wav(path)
-    try:
-        return cmn(log_mel(audio, config))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    than one window is a FormatError."""
+    with naming(path):
+        return cmn(log_mel(read_wav(path), config))

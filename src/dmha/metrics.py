@@ -7,6 +7,7 @@ the bracketing operating points; DCF is reported unnormalized.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,44 +84,66 @@ def compute_min_dcf(scores, labels, cfg: DcfConfig = DcfConfig()) -> float:
 # ---- trial / score files -----------------------------------------------------
 
 
+class FormatError(ValueError):
+    """Bad input in a file: str() is "<path>[:<line>]: <reason>", and .path
+    and .line (None when the fault is the whole file's) say where."""
+
+    def __init__(self, path, reason, line=None):
+        self.path, self.line = path, line
+        where = path if line is None else f"{path}:{line}"
+        super().__init__(f"{where}: {reason}")
+
+
+@contextlib.contextmanager
+def naming(path, line=None):
+    """A ValueError raised in the block becomes a FormatError naming path
+    (and line); a FormatError, which already names its file, passes."""
+    try:
+        yield
+    except FormatError:
+        raise
+    except ValueError as exc:
+        raise FormatError(path, exc, line) from None
+
+
 def text_lines(path) -> list[tuple[int, str]]:
-    """(line number, line) of each line of a text file; bytes that do not
-    decode are a ValueError naming path."""
-    with open(path) as f:
+    """(line number, line) of each line of a UTF-8 text file; bytes that do
+    not decode are a FormatError."""
+    with open(path, encoding="utf-8") as f:
         try:
             return list(enumerate(f, start=1))
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not {exc.encoding} text "
-                             f"({exc.reason})") from None
+            raise FormatError(path, f"not {exc.encoding} text "
+                              f"({exc.reason})") from None
 
 
 def read_trials(path) -> list[Trial]:
     """Trial list: one line per trial, "<label 1|0> <enroll-id> <test-id>"."""
     trials = []
     for lineno, line in text_lines(path):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected "
-                             "'<label> <enroll-id> <test-id>'")
-        label, eid, tid = parts
-        if label not in ("0", "1"):
-            raise ValueError(f"{path}:{lineno}: bad trial label {label!r}")
-        trials.append(Trial(int(label), eid, tid))
+        with naming(path, lineno):
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) != 3:
+                raise ValueError("expected '<label> <enroll-id> <test-id>'")
+            label, eid, tid = parts
+            if label not in ("0", "1"):
+                raise ValueError(f"bad trial label {label!r}")
+            trials.append(Trial(int(label), eid, tid))
     if not trials:
-        raise ValueError(f"{path}: empty trial list")
+        raise FormatError(path, "empty trial list")
     return trials
 
 
 def write_trials(path, trials):
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         for t in trials:
             f.write(f"{t.label} {t.enroll_id} {t.test_id}\n")
 
 
 def write_scores(path, trials):
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         for t in trials:
             f.write(f"{t.enroll_id} {t.test_id} {t.score:.9f}\n")
 

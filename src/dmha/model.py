@@ -18,7 +18,7 @@ from . import features as feat
 from . import head as hd
 from . import pooling as pl
 from .autodiff import Tensor
-from .metrics import text_lines
+from .metrics import FormatError, naming, text_lines
 
 
 def param_rng_factory(seed: int):
@@ -92,14 +92,10 @@ class SpeakerModel:
         of float64); everything after it, and the parameters, stay float64.
 
         Returns (embedding, weights (T, K), head_weights (K,) or None). An
-        utterance too short for the encoder is a ValueError naming path."""
+        utterance too short for the encoder is a FormatError."""
         mel = feat.utterance_features(path, self.feature_config())
-        try:
-            with ad.no_grad():
-                out = self.forward(mel[None].astype(np.float32),
-                                   training=False)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        with naming(path), ad.no_grad():
+            out = self.forward(mel[None].astype(np.float32), training=False)
         hw = out["head_weights"]
         return (out["embedding"].data[0].copy(), out["weights"].data[0],
                 None if hw is None else hw.data[0])
@@ -117,19 +113,19 @@ class SpeakerModel:
             out[name + ".running_var"] = st.running_var
         return out
 
-    def load_state_tensors(self, tensors: dict[str, np.ndarray], source):
+    def load_state_tensors(self, tensors: dict[str, np.ndarray]):
         """Load state_tensors()-named arrays; a tensor that is missing, has
-        the wrong shape or holds a NaN or inf is a ValueError naming source
-        and the tensor."""
+        the wrong shape or holds a NaN or inf is a ValueError naming the
+        tensor."""
         for name, t in self.state_tensors().items():
             if name not in tensors:
-                raise ValueError(f"{source}: tensor {name} is missing")
+                raise ValueError(f"tensor {name} is missing")
             if tensors[name].shape != t.shape:
-                raise ValueError(
-                    f"{source}: tensor {name} has shape "
-                    f"{tensors[name].shape}, the model needs {t.shape}")
+                raise ValueError(f"tensor {name} has shape "
+                                 f"{tensors[name].shape}, the model needs "
+                                 f"{t.shape}")
             if not np.isfinite(tensors[name]).all():
-                raise ValueError(f"{source}: tensor {name} is not finite")
+                raise ValueError(f"tensor {name} is not finite")
         for name, t in self.params.items():
             t.data = np.array(tensors[name], dtype=np.float64)
         for name, st in self.bn_states.items():
@@ -145,7 +141,7 @@ def write_embeddings(path, embeddings: dict[str, np.ndarray]):
     with 17-significant-digit floats."""
     items = list(embeddings.items())
     dim = len(items[0][1]) if items else 0
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(f"dim={dim} count={len(items)}\n")
         for uid, e in items:
             f.write(uid + " " + " ".join(f"{v:.17g}" for v in e) + "\n")
@@ -158,27 +154,24 @@ def read_embeddings(path) -> dict[str, np.ndarray]:
     try:
         dim, count = int(header["dim"]), int(header["count"])
     except (KeyError, ValueError):
-        raise ValueError(f"{path}: expected a 'dim=<d> count=<n>' "
-                         "header line") from None
+        raise FormatError(path, "expected a 'dim=<d> count=<n>' header "
+                          "line") from None
     out = {}
     for lineno, line in lines:
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] in out:
-            raise ValueError(f"{path}:{lineno}: duplicate {parts[0]}")
-        try:
+        with naming(path, lineno):
+            parts = line.split()
+            if not parts:
+                continue
+            if parts[0] in out:
+                raise ValueError(f"duplicate {parts[0]}")
             e = np.array([float(v) for v in parts[1:]])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if len(e) != dim:
-            raise ValueError(f"{path}:{lineno}: {len(e)} values for "
-                             f"{parts[0]}, header says dim={dim}")
-        if not np.isfinite(e).all():
-            raise ValueError(f"{path}:{lineno}: non-finite value for "
-                             f"{parts[0]}")
-        out[parts[0]] = e
+            if len(e) != dim:
+                raise ValueError(f"{len(e)} values for {parts[0]}, header "
+                                 f"says dim={dim}")
+            if not np.isfinite(e).all():
+                raise ValueError(f"non-finite value for {parts[0]}")
+            out[parts[0]] = e
     if len(out) != count:
-        raise ValueError(f"{path}: header says count={count}, found "
-                         f"{len(out)} embeddings")
+        raise FormatError(path, f"header says count={count}, found "
+                          f"{len(out)} embeddings")
     return out

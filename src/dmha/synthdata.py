@@ -137,7 +137,7 @@ def generate_corpus(out_dir, num_speakers: int, utts_per_speaker: int,
     if os.path.exists(manifest):
         os.remove(manifest)
     try:
-        with open(tmp, "w") as mf:
+        with open(tmp, "w", encoding="utf-8") as mf:
             for si, spk in enumerate(_speaker_bank(num_speakers, seed)):
                 for ui in range(utts_per_speaker):
                     rng = np.random.default_rng(

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import features as feat
-from .metrics import text_lines
+from .metrics import naming, text_lines
 from .model import ModelConfig, SpeakerModel
 
 
@@ -74,25 +74,24 @@ def load_manifest(path) -> list[Utterance]:
     the speakers in a checkpoint."""
     utts, seen = [], set()
     for lineno, line in text_lines(path):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected "
-                             "speaker<TAB>utt-id<TAB>wav-path")
-        speaker, utt_id, _ = parts
-        if speaker.split() != [speaker] or "," in speaker:
-            raise ValueError(f"{path}:{lineno}: speaker {speaker!r} is "
-                             "empty or has whitespace or ','")
-        if utt_id.split() != [utt_id]:
-            raise ValueError(f"{path}:{lineno}: utterance id {utt_id!r} is "
-                             "empty or has whitespace")
-        if utt_id in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate utterance id "
-                             f"{utt_id}")
-        seen.add(utt_id)
-        utts.append(Utterance(*parts))
+        with naming(path, lineno):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ValueError("expected speaker<TAB>utt-id<TAB>wav-path")
+            speaker, utt_id, _ = parts
+            if speaker.split() != [speaker] or "," in speaker:
+                raise ValueError(f"speaker {speaker!r} is empty or has "
+                                 "whitespace or ','")
+            if utt_id.split() != [utt_id]:
+                raise ValueError(f"utterance id {utt_id!r} is empty or has "
+                                 "whitespace")
+            if utt_id in seen:
+                raise ValueError(f"duplicate utterance id {utt_id}")
+            seen.add(utt_id)
+            utts.append(Utterance(*parts))
     return utts
 
 
@@ -206,38 +205,38 @@ def save_checkpoint(path, config: dict, tensors: dict):
 
 
 def load_checkpoint(path):
-    with open(path, "rb") as f:
+    with naming(path), open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
 
         def read(n):
             # a corrupt length may be far larger than memory: check it
             # against the file before reading
             if n > size - f.tell():
-                raise ValueError(f"{path}: truncated checkpoint")
+                raise ValueError("truncated checkpoint")
             return f.read(n)
 
         def text(n):
             try:
                 return read(n).decode()
             except UnicodeDecodeError:
-                raise ValueError(f"{path}: corrupt checkpoint (a key or "
-                                 "tensor name is not UTF-8)") from None
+                raise ValueError("corrupt checkpoint (a key or tensor name "
+                                 "is not UTF-8)") from None
 
         if f.read(4) != CKPT_MAGIC:
-            raise ValueError(f"{path}: not a DMHA checkpoint")
+            raise ValueError("not a DMHA checkpoint")
         version, = struct.unpack("<I", read(4))
         if version != CKPT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+            raise ValueError(f"unsupported checkpoint version {version}")
         clen, = struct.unpack("<I", read(4))
         config = {}
         for line in text(clen).splitlines():
             k, eq, v = line.partition("=")
             if not eq:
-                raise ValueError(f"{path}: corrupt checkpoint (key line "
-                                 f"{line!r} has no '=')")
+                raise ValueError(f"corrupt checkpoint (key line {line!r} "
+                                 "has no '=')")
             if k in config:
-                raise ValueError(f"{path}: corrupt checkpoint (key {k} "
-                                 "appears twice)")
+                raise ValueError(f"corrupt checkpoint (key {k} appears "
+                                 "twice)")
             config[k] = v
         ntensors, = struct.unpack("<I", read(4))
         tensors = {}
@@ -245,7 +244,7 @@ def load_checkpoint(path):
             nlen, = struct.unpack("<H", read(2))
             name = text(nlen)
             if name in tensors:
-                raise ValueError(f"{path}: corrupt checkpoint (tensor {name} "
+                raise ValueError(f"corrupt checkpoint (tensor {name} "
                                  "appears twice)")
             rank, = struct.unpack("<B", read(1))
             dims = struct.unpack(f"<{rank}I", read(4 * rank))
@@ -253,11 +252,11 @@ def load_checkpoint(path):
             try:
                 tensors[name] = data.reshape(dims).copy()
             except ValueError:  # numpy caps the rank and the element count
-                raise ValueError(f"{path}: corrupt checkpoint (tensor {name} "
-                                 f"has dims {dims})") from None
+                raise ValueError(f"corrupt checkpoint (tensor {name} has "
+                                 f"dims {dims})") from None
         if f.tell() != size:
-            raise ValueError(f"{path}: corrupt checkpoint ({size - f.tell()} "
-                             "bytes after the last tensor)")
+            raise ValueError(f"corrupt checkpoint ({size - f.tell()} bytes "
+                             "after the last tensor)")
     return config, tensors
 
 
@@ -288,8 +287,7 @@ def load_model(path, checkpoint=None) -> tuple[SpeakerModel, dict]:
     """Rebuild a SpeakerModel (and its meta dict) from the checkpoint at
     path, or from its load_checkpoint() pair when already read: the one
     route from a checkpoint to a model. Each model.* value is parsed by its
-    field's type; a missing, malformed or invalid one is a ValueError
-    naming path."""
+    field's type; a missing, malformed or invalid one is a FormatError."""
     config, tensors = checkpoint or load_checkpoint(path)
 
     def build(cls):  # the inverse of _leaf_values
@@ -304,11 +302,9 @@ def load_model(path, checkpoint=None) -> tuple[SpeakerModel, dict]:
                 kw[name] = parse_value(key, ftype, config[key])
         return cls(**kw)
 
-    try:
+    with naming(path):
         model = SpeakerModel(build(ModelConfig), seed=0)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    model.load_state_tensors(tensors, path)
+        model.load_state_tensors(tensors)
     return model, config
 
 
@@ -365,10 +361,10 @@ class TrainState:
         builds from it. A checkpoint that load_model rejects, without
         training state, of other speakers, of another model or run setting
         (_run_keys), with misshapen Adam moments or with no epoch left to
-        train is a ValueError naming path, as is an lr that TrainConfig
-        rejects, a negative epoch, step or plateau count, a NaN or negative
-        best_val (+inf is a run that never improved; a loss is >= 0) or a
-        non-finite Adam moment."""
+        train is a ValueError (train() names path), as is an lr that
+        TrainConfig rejects, a negative epoch, step or plateau count, a NaN
+        or negative best_val (+inf is a run that never improved; a loss is
+        >= 0) or a non-finite Adam moment."""
         config, tensors = checkpoint = load_checkpoint(path)
         model, _ = load_model(path, checkpoint)
         # the model.* values as save() would write them
@@ -401,20 +397,20 @@ class TrainState:
                         _run_keys(model_config, tconfig).items()
                         if str(config[key]) != str(want)]
         except KeyError as exc:
-            raise ValueError(f"{path}: checkpoint has no training state "
+            raise ValueError("checkpoint has no training state "
                              f"({exc.args[0]} is missing)") from None
         except ValueError as exc:
-            raise ValueError(f"{path}: bad training state: {exc}") from None
+            raise ValueError(f"bad training state: {exc}") from None
         if trained_on != speakers:
             differ = sorted(set(trained_on) ^ set(speakers))[:3]
-            raise ValueError(f"{path}: checkpoint speakers differ from the "
-                             f"dataset's ({', '.join(differ) or 'in order'})")
+            raise ValueError("checkpoint speakers differ from the dataset's "
+                             f"({', '.join(differ) or 'in order'})")
         if mismatch:
             key, have, want = mismatch[0]
-            raise ValueError(f"{path}: checkpoint has {key}={have}, the run "
-                             f"has {want}")
+            raise ValueError(f"checkpoint has {key}={have}, the run has "
+                             f"{want}")
         if state.epoch >= tconfig.max_epochs:
-            raise ValueError(f"{path}: checkpoint is at epoch {state.epoch}, "
+            raise ValueError(f"checkpoint is at epoch {state.epoch}, "
                              f"max_epochs {tconfig.max_epochs} leaves "
                              "nothing to train")
         for name, p in model.params.items():
@@ -422,12 +418,10 @@ class TrainState:
                                  ("adam.v.", state.adam.v)):
                 moment = tensors.get(key + name)
                 if moment is None or moment.shape != p.data.shape:
-                    raise ValueError(
-                        f"{path}: tensor {key + name} is missing or its "
-                        f"shape is not {p.data.shape}")
+                    raise ValueError(f"tensor {key + name} is missing or "
+                                     f"its shape is not {p.data.shape}")
                 if not np.isfinite(moment).all():
-                    raise ValueError(f"{path}: tensor {key + name} is not "
-                                     "finite")
+                    raise ValueError(f"tensor {key + name} is not finite")
                 moments[name] = moment
         return state
 
@@ -529,7 +523,7 @@ def _validate(model, tconfig: TrainConfig, utts, label_of, cache) -> float:
 
 
 def _write_log(path, log_rows):
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write("epoch,train_loss,val_loss,lr\n")
         for e, tl, vl, l in log_rows:
             f.write(f"{e},{tl:.17g},{vl:.17g},{l:.17g}\n")
@@ -551,9 +545,12 @@ def train(tconfig: TrainConfig, dataset: list[Utterance],
     speakers, train_utts, val_utts = _split_dataset(dataset, tconfig)
     model_config = replace(model_config, num_speakers=len(speakers))
     label_of = {s: i for i, s in enumerate(speakers)}
-    state = (TrainState(SpeakerModel(model_config, seed=tconfig.seed),
-                        tconfig.lr) if resume is None else
-             TrainState.load(resume, model_config, tconfig, speakers))
+    if resume is None:
+        state = TrainState(SpeakerModel(model_config, seed=tconfig.seed),
+                           tconfig.lr)
+    else:
+        with naming(resume):
+            state = TrainState.load(resume, model_config, tconfig, speakers)
     front_end = state.model.feature_config()
     if fconfig is not None and fconfig != front_end:
         raise ValueError(f"fconfig {fconfig} does not match the model's "

@@ -1,7 +1,11 @@
 """Command-line surface: every subcommand end to end, error contract,
 config file handling."""
 
+import os
+import re
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +19,7 @@ from dmha import metrics as mt
 from dmha import model as mdl
 from dmha import trainer as tr
 from dmha.config import RunConfig, apply_overrides, load_config
+from dmha.metrics import FormatError
 
 
 def _run(capsys, *argv):
@@ -589,6 +594,29 @@ def test_wav_shorter_than_its_header_is_a_one_line_error(
     assert not (tmp_path / "emb.txt").exists()
 
 
+@pytest.mark.parametrize("damage", ["fmt-size", "riff-only"])
+def test_damaged_wav_header_is_a_one_line_error(cli_workspace, capsys,
+                                                tmp_path, damage):
+    """A fmt chunk size of 235 sends wave past the fmt chunk into the
+    samples, whose bytes read as a chunk size past the file's end: wave's
+    seek raised a bare RuntimeError and extract died with a traceback. A
+    file of 'RIFF' alone ended the message in '()'."""
+    wav = tmp_path / "u.wav"
+    if damage == "fmt-size":
+        feat.write_wav(wav, np.random.default_rng(0).uniform(-0.5, 0.5,
+                                                              4000))
+        raw = bytearray(wav.read_bytes())
+        raw[16] = 235
+        wav.write_bytes(raw)
+    else:
+        wav.write_bytes(b"RIFF")
+    _, (code, _, err) = _extract_manifest(capsys, cli_workspace, tmp_path,
+                                          [("spk000", "u0", str(wav))])
+    assert code == 1
+    assert err == f"error: {wav}: not a PCM wav file (truncated header)\n"
+    assert not (tmp_path / "emb.txt").exists()
+
+
 @pytest.mark.parametrize("speaker, utt_id, message", [
     ("spk000", "spk000-u000 x",
      "utterance id 'spk000-u000 x' is empty or has whitespace"),
@@ -699,6 +727,35 @@ def test_text_readers_parse_or_name_the_file(text_fuzz_dir, reader, content):
         assert str(exc).startswith(f"{path}:"), exc
 
 
+@given(reader=st.sampled_from(["load_manifest", "read_trials",
+                               "read_embeddings", "load_config"]),
+       content=st.one_of(st.binary(max_size=64),
+                         st.lists(st.sampled_from(_TEXT_PIECES),
+                                  max_size=40).map(b"".join)))
+@settings(max_examples=300, deadline=None)
+def test_text_readers_raise_a_format_error_naming_the_file(
+        text_fuzz_dir, reader, content):
+    """The error of a text reader is a FormatError whose .path is the file
+    and whose .line, a line of the file, is set exactly when the message
+    names one."""
+    read = {"load_manifest": tr.load_manifest, "read_trials": mt.read_trials,
+            "read_embeddings": mdl.read_embeddings,
+            "load_config": load_config}[reader]
+    path = text_fuzz_dir / "typed.txt"
+    path.write_bytes(content)
+    try:
+        read(path)
+    except FormatError as exc:
+        assert exc.path == path, exc
+        named = re.match(re.escape(str(path)) + r":(\d+): ", str(exc))
+        if exc.line is None:
+            assert named is None and str(exc).startswith(f"{path}: "), exc
+        else:
+            assert named and int(named[1]) == exc.line, exc
+            # universal newlines split at \n, \r and \r\n, as splitlines
+            assert 1 <= exc.line <= len(content.splitlines()), exc
+
+
 def test_undecodable_manifest_is_a_one_line_error(cli_workspace, capsys,
                                                    tmp_path):
     manifest = tmp_path / "latin1.tsv"
@@ -708,6 +765,24 @@ def test_undecodable_manifest_is_a_one_line_error(cli_workspace, capsys,
                         "--out", str(tmp_path / "emb.txt"))
     assert code == 1
     assert err == f"error: {manifest}: not utf-8 text (invalid start byte)\n"
+
+
+def test_text_files_are_utf8_whatever_the_locale(tmp_path):
+    """Under the C locale without UTF-8 mode the locale's encoding is
+    ASCII; a UTF-8 trial list once read as 'not ascii text'."""
+    (tmp_path / "emb.txt").write_bytes(
+        "dim=2 count=2\nü1 1 0\nü2 1 1\n".encode())
+    (tmp_path / "t.txt").write_bytes("1 ü1 ü2\n".encode())
+    src = os.path.dirname(os.path.dirname(mdl.__file__))
+    env = dict(os.environ, PYTHONPATH=src, LC_ALL="C",
+               PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "dmha.cli", "score", "--embeddings", "emb.txt",
+         "--trials", "t.txt", "--out", "s.txt"],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "s.txt").read_bytes() == \
+        "ü1 ü2 0.707106781\n".encode()
 
 
 # ---- weight dumps stay in their directory ----------------------------------------
@@ -1041,6 +1116,20 @@ def test_synth_corpus_size_at_the_pool_writes_every_pair(capsys, tmp_path):
     assert code == 0
     assert out.endswith("wrote 6 trials to "
                         f"{tmp_path / 'c' / 'trials.txt'}\n")
+
+
+def test_synth_without_trials_is_a_one_line_error_before_writing(capsys,
+                                                                 tmp_path):
+    """An empty trials.txt, which score and eval reject, was written with
+    exit status 0."""
+    out = tmp_path / "corpus"
+    code, _, err = _run(capsys, "synth", "--out-dir", str(out),
+                        "--speakers", "2", "--utts", "2", "--duration", "0.1",
+                        "--num-target", "0", "--num-nontarget", "0")
+    assert code == 1
+    assert err == ("error: --num-target and --num-nontarget are both 0, so "
+                   "the trial list would be empty\n")
+    assert not out.exists()
 
 
 def test_setting_that_fails_without_a_config_names_no_file(capsys, tmp_path):

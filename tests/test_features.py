@@ -8,10 +8,11 @@ import wave
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmha import features as ft
+from dmha.metrics import FormatError
 
 
 CFG = ft.FeatureConfig()
@@ -237,6 +238,47 @@ def test_read_wav_rejects_a_layout_it_cannot_read(tmp_path, channels,
     with pytest.raises(ValueError) as exc:
         ft.read_wav(path)
     assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.fixture(scope="module")
+def wav_fuzz(tmp_path_factory):
+    """(directory, the bytes of a valid 800-sample noise wav)."""
+    directory = tmp_path_factory.mktemp("wav_fuzz")
+    ft.write_wav(directory / "valid.wav",
+                 np.random.default_rng(0).uniform(-0.5, 0.5, 800))
+    return directory, (directory / "valid.wav").read_bytes()
+
+
+# a cut offset into the 1644-byte file, or (offset, byte) writes into its
+# 44-byte header and the first samples
+_WAV_DAMAGE = st.one_of(
+    st.integers(0, 1643),
+    st.lists(st.tuples(st.integers(0, 59), st.integers(0, 255)),
+             min_size=1, max_size=4))
+
+
+@given(damage=_WAV_DAMAGE)
+# the fmt chunk's size read as 235 walks into the samples; wave's seek
+# once raised a bare RuntimeError there
+@example(damage=[(16, 235)])
+@settings(max_examples=300, deadline=None)
+def test_damaged_wav_reads_or_raises_a_format_error(wav_fuzz, damage):
+    """A valid wav cut at any offset, or with 1-4 of its first 60 bytes
+    overwritten, either reads or gives a FormatError naming the file."""
+    directory, good = wav_fuzz
+    if isinstance(damage, int):
+        damaged = good[:damage]
+    else:
+        damaged = bytearray(good)
+        for at, byte in damage:
+            damaged[at] = byte
+    path = directory / "damaged.wav"
+    path.write_bytes(damaged)
+    try:
+        ft.read_wav(path)
+    except FormatError as exc:
+        assert (exc.path, exc.line) == (path, None), exc
+        assert str(exc).startswith(f"{path}: "), exc
 
 
 @pytest.mark.parametrize("kwargs, message", [

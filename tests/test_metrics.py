@@ -169,6 +169,30 @@ def test_read_trials_rejects_bad_label_and_empty(tmp_path):
         mt.read_trials(empty)
 
 
+def test_naming_turns_a_value_error_into_a_format_error():
+    with pytest.raises(mt.FormatError) as exc:
+        with mt.naming("t.txt", 3):
+            raise ValueError("bad trial label 'x'")
+    assert str(exc.value) == "t.txt:3: bad trial label 'x'"
+    assert (exc.value.path, exc.value.line) == ("t.txt", 3)
+    with pytest.raises(mt.FormatError) as exc:
+        with mt.naming("t.txt"):
+            raise ValueError("empty trial list")
+    assert str(exc.value) == "t.txt: empty trial list"
+    assert exc.value.line is None
+
+
+def test_naming_passes_a_format_error_and_other_errors_unchanged():
+    inner = mt.FormatError("u.wav", "truncated checkpoint")
+    with pytest.raises(mt.FormatError) as exc:
+        with mt.naming("m.tsv", 2):
+            raise inner
+    assert exc.value is inner
+    with pytest.raises(KeyError):
+        with mt.naming("m.tsv"):
+            raise KeyError("speakers")
+
+
 def test_score_trials_missing_utterance_listed():
     trials = [mt.Trial(1, "a", "zz")]
     with pytest.raises(ValueError, match="zz"):

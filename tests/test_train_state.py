@@ -17,6 +17,7 @@ from dmha import cli
 from dmha import synthdata as sd
 from dmha import trainer as tr
 from dmha.config import RunConfig
+from dmha.metrics import FormatError
 
 
 def _tiny_train_config(**kw):
@@ -358,6 +359,28 @@ def test_damaged_checkpoint_parses_or_names_the_file(fuzz_dir, data):
         assert str(exc).startswith(f"{path}: "), exc
 
 
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_damaged_checkpoint_raises_a_format_error_naming_the_file(fuzz_dir,
+                                                                 data):
+    """The same damage gives a FormatError whose .path is the file and
+    whose .line is None: a binary file has no lines."""
+    good = _checkpoint_bytes(fuzz_dir)
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = good[:data.draw(st.integers(0, len(good) - 1), label="cut")]
+    else:
+        at = data.draw(st.integers(0, len(good) - 1), label="offset")
+        byte = data.draw(st.integers(0, 255), label="byte")
+        damaged = good[:at] + bytes([byte]) + good[at + 1:]
+    path = fuzz_dir / "typed.ckpt"
+    path.write_bytes(damaged)
+    try:
+        tr.load_checkpoint(path)
+    except FormatError as exc:
+        assert (exc.path, exc.line) == (path, None), exc
+        assert str(exc).startswith(f"{path}: "), exc
+
+
 # ---- progress ---------------------------------------------------------------
 
 
@@ -484,6 +507,36 @@ def test_invalid_model_value_is_one_line_naming_the_file(
         assert err.count("\n") == 1
     assert not (tmp_path / "emb.txt").exists()
     assert not (tmp_path / "run").exists()
+
+
+def test_load_model_of_a_bad_model_value_is_a_format_error(two_epoch_run,
+                                                          tmp_path):
+    config, tensors = tr.load_checkpoint(two_epoch_run[1])
+    config["model.hidden"] = "16x"
+    ckpt = tmp_path / "bad.ckpt"
+    tr.save_checkpoint(ckpt, config, tensors)
+    with pytest.raises(FormatError) as exc:
+        tr.load_model(ckpt)
+    assert (exc.value.path, exc.value.line) == (ckpt, None)
+    assert str(exc.value) == f"{ckpt}: bad model.hidden value '16x'"
+
+
+@pytest.mark.parametrize("case, message", [
+    ("model_only", "checkpoint has no training state (train.lr is missing)"),
+    ("bad_value", "bad training state: could not convert string to float: "
+                  "'fast'"),
+], ids=["model_only", "bad_value"])
+def test_bad_resume_is_a_format_error_naming_the_checkpoint(
+        two_epoch_run, tiny_run_config, tmp_path, case, message):
+    utts, last = two_epoch_run
+    ckpt = tmp_path / "resume.ckpt"
+    _write_resume_checkpoint(case, last, ckpt)
+    with pytest.raises(FormatError) as exc:
+        tr.train(_tiny_train_config(max_epochs=3), utts,
+                 tiny_run_config.model_config(3), tmp_path / "run",
+                 resume=ckpt)
+    assert (exc.value.path, exc.value.line) == (ckpt, None)
+    assert str(exc.value) == f"{ckpt}: {message}"
 
 
 # ---- non-finite guard ---------------------------------------------------------
