@@ -26,17 +26,25 @@ pool node takes over its input's node (its parents and backward), so the
 graph no longer reaches the full-resolution input at all. The same
 refusal holds, and the input is left consumed.
 
-The conv is a column-tiled im2col GEMM on a channel-major, batch-folded
-padded buffer (C, B*(H+2)*(W+2)): each of the nine taps is a column slice
-of that buffer, shifted by the tap's offset. One tile of TILE output
-columns at a time, the nine slices are copied into a (9C, TILE) patch and
-one GEMM computes the tile, so the unrolled input is never whole in
-memory. TILE and every GEMM width are multiples of 32, which keeps each
-pixel out of the BLAS edge kernels whose rounding differs: a batch row
-gets the bits of its B=1 encoding. The input gradient runs the same kernel
-on the padded output gradient with the flipped kernel, a gather, so its
-bits do not depend on the batch either. The NCHW output is a view of the
-(O, B, ...) grid, so activations downstream are channel-major in memory.
+The conv is a column-tiled im2col GEMM on a map's grid, the zero-ringed,
+channel-major, batch-folded buffer that _grid_cols lays out: each of the
+nine taps is a column slice of the grid, shifted by the tap's offset. One
+tile of TILE output columns at a time, the nine slices are copied into a
+(9C, TILE) patch and one GEMM computes the tile, so the unrolled input is
+never whole in memory. TILE and every GEMM width are multiples of 32,
+which keeps each pixel out of the BLAS edge kernels whose rounding
+differs: a batch row gets the bits of its B=1 encoding. The input gradient
+runs the same kernel on the output gradient's grid with the flipped
+kernel, a gather, so its bits do not depend on the batch either.
+
+Maps are born padded: the conv writes its output, and its input
+gradient, straight into a new grid, which is then the next conv's input
+(or the previous conv's output gradient); the NCHW tensor it returns is
+the grid's interior view. The ReLU and maxpool backward write the
+gradient of a born-padded map into a zeroed grid. So a conv copies into a
+grid only a map that was not born in one (the mel, a pooled map). relu_
+writes the interior only, and nothing else writes a grid, so a ring
+stays zero.
 """
 
 from __future__ import annotations
@@ -293,8 +301,14 @@ def log(a) -> Tensor:
 
 def _relu_node(a: Tensor, out: np.ndarray) -> Tensor:
     """The node of out = max(a, 0); the one ReLU backward for relu and
-    relu_."""
-    return _make(out, (a,), lambda g: (g * (out > 0),))
+    relu_. The gradient of a born-padded out is born padded too."""
+
+    def bw(g):
+        gx = (None if _grid_of(out) is None
+              else _grid_zeros(out.shape, g.dtype))
+        return (np.multiply(g, out > 0, out=gx),)
+
+    return _make(out, (a,), bw)
 
 
 def relu(a) -> Tensor:
@@ -412,24 +426,73 @@ def softmax(z, axis: int = -1) -> Tensor:
 
 # output columns per im2col tile, so a tile's (9C, TILE) patch is 9*C*32 KB;
 # a multiple of 32 so that every tile's GEMM width is one too (see the
-# column rounding in conv2d_same)
+# column rounding in _grid_cols)
 TILE = 4096
 
 
-def _pad_fold(a: np.ndarray, Lp: int) -> np.ndarray:
-    """(B,C,H,W) -> zero-padded channel-major buffer (C, Lp) of a's dtype,
-    whose first B*(H+2)*(W+2) columns hold the (B, H+2, W+2) padded
-    images."""
+def _grid_cols(B: int, H: int, W: int) -> tuple[int, int]:
+    """(Mp, Lp) of a (B, C, H, W) map: its grid is a (C, Lp) buffer, and a
+    conv over it runs Mp GEMM columns.
+
+    The grid holds the map channel-major and batch-folded. Its first
+    B*Hp*Wp columns (Hp, Wp = H+2, W+2) are the (B, Hp, Wp) images, each
+    ringed by one zero row or column on every side, so pixel (b, h, w) of
+    channel c sits at [c, (b*Hp + h+1)*Wp + w+1]; every other column is
+    zero. Mp is the M = B*Hp*Wp - 2*Wp - 2 output columns rounded up to a
+    multiple of 32, so that no pixel falls in a BLAS edge kernel (edge
+    kernels round differently, and where the edge lies depends on B); TILE
+    is a multiple of 32 too, so every tile's GEMM width is one. Lp =
+    Mp + 2*Wp + 2 columns hold every tap of every GEMM column.
+    """
+    Wp = W + 2
+    Mp = -(-(B * (H + 2) * Wp - 2 * Wp - 2) // 32) * 32
+    return Mp, Mp + 2 * Wp + 2
+
+
+def _interior(grid: np.ndarray, B: int, H: int, W: int) -> np.ndarray:
+    """The (B, C, H, W) view of the pixels of grid (C, Lp)."""
+    Hp, Wp = H + 2, W + 2
+    return grid[:, :B * Hp * Wp].reshape(-1, B, Hp, Wp)[
+        :, :, 1:-1, 1:-1].transpose(1, 0, 2, 3)
+
+
+def _grid_of(a: np.ndarray):
+    """a's grid when a is its interior view (a born-padded map), else
+    None: a's base must have the grid's shape and a's dtype, and a the
+    interior's offset and strides in it."""
+    grid = a.base
+    if a.ndim != 4 or not isinstance(grid, np.ndarray):
+        return None
     B, C, H, W = a.shape
-    f = np.zeros((C, Lp), dtype=a.dtype)
-    f[:, :B * (H + 2) * (W + 2)].reshape(C, B, H + 2, W + 2)[
-        :, :, 1:-1, 1:-1] = a.transpose(1, 0, 2, 3)
-    return f
+    if grid.shape != (C, _grid_cols(B, H, W)[1]) or grid.dtype != a.dtype:
+        return None
+    view = _interior(grid, B, H, W)
+    if view.strides != a.strides or view.ctypes.data != a.ctypes.data:
+        return None
+    return grid
+
+
+def _grid_zeros(shape: tuple, dtype) -> np.ndarray:
+    """A (B, C, H, W) map of zeros, born padded: a zeroed grid's interior."""
+    B, C, H, W = shape
+    return _interior(np.zeros((C, _grid_cols(B, H, W)[1]), dtype=dtype),
+                     B, H, W)
+
+
+def _pad_fold(a: np.ndarray) -> np.ndarray:
+    """The grid of (B, C, H, W) map a, in a's dtype: a's own grid when a is
+    born padded, else a zeroed copy."""
+    grid = _grid_of(a)
+    if grid is None:
+        copy = _grid_zeros(a.shape, a.dtype)
+        copy[...] = a
+        grid = copy.base
+    return grid
 
 
 def _patches(f: np.ndarray, Mp: int, Wp: int):
     """Yield (c0, c1, patch) over the TILE-wide column blocks of [0, Mp):
-    patch is the (9C, c1-c0) im2col block of padded buffer f, whose rows
+    patch is the (9C, c1-c0) im2col block of grid f, whose rows
     k*C:(k+1)*C hold tap k = 3*di+dj, f[:, off+c0:off+c1] with
     off = di*Wp+dj. The one patch buffer is reused, so use each patch
     before taking the next."""
@@ -444,17 +507,28 @@ def _patches(f: np.ndarray, Mp: int, Wp: int):
         yield c0, c1, patch
 
 
-def _conv_grid(wmat: np.ndarray, f: np.ndarray, Mp: int, Wp: int,
+def _conv_grid(wmat: np.ndarray, f: np.ndarray, B: int, H: int, W: int,
                bias=None) -> np.ndarray:
-    """(R, 9C) tap-major kernel matrix applied to padded buffer f: one GEMM
-    per column tile, written straight into the (R, f.shape[1]) output grid
-    of f's dtype; only its first Mp columns are set."""
-    out = np.empty((wmat.shape[0], f.shape[1]), dtype=f.dtype)
+    """(R, 9C) tap-major kernel matrix applied to grid f of a (B, C, H, W)
+    map, as one GEMM per column tile, written into a new (R, Lp) grid in
+    f's dtype; returns the (B, R, H, W) output, the grid's interior view.
+    GEMM column j is the output pixel whose top-left tap is f[:, j], so it
+    is written at column j + Wp + 1, the pixel's place in the grid. The
+    columns that wrap across a row or image edge land in the ring, which
+    is zeroed after."""
+    Hp, Wp = H + 2, W + 2
+    Mp, Lp = _grid_cols(B, H, W)
+    out = np.empty((wmat.shape[0], Lp), dtype=f.dtype)
     for c0, c1, patch in _patches(f, Mp, Wp):
-        np.matmul(wmat, patch, out=out[:, c0:c1])
+        tile = out[:, Wp + 1 + c0:Wp + 1 + c1]
+        np.matmul(wmat, patch, out=tile)
         if bias is not None:
-            out[:, c0:c1] += bias[:, None]
-    return out
+            tile += bias[:, None]
+    out[:, B * Hp * Wp:] = 0
+    images = out[:, :B * Hp * Wp].reshape(-1, B, Hp, Wp)
+    images[:, :, [0, -1]] = 0
+    images[:, :, :, [0, -1]] = 0
+    return _interior(out, B, H, W)
 
 
 def conv2d_same(x, w, b=None) -> Tensor:
@@ -465,24 +539,26 @@ def conv2d_same(x, w, b=None) -> Tensor:
     are cast to it once per call, and their gradients are returned in
     their own dtype.
 
-    Layout: the input is padded channel-major and batch-folded, as
-    xf = (C, B*(H+2)*(W+2)). Tap (di,dj) of every output pixel is then the
-    column xf[:, j+off] with off = di*(W+2)+dj, where j is the pixel's
-    column on the (O, B, H+2, W+2) output grid (columns that wrap across a
-    row or batch edge land in the pad and are cropped away). The forward
-    gathers the nine taps of TILE output columns into one (9C, TILE) patch
-    and runs one (O,9C)@(9C,TILE) GEMM per tile (im2col, one tile at a
-    time, so the unrolled input is never whole in memory). The output is an
-    NCHW view of that grid.
+    Layout (see _grid_cols): x is read from its grid xf = (C, Lp), x's own
+    when x is born padded and a zeroed copy otherwise. Tap (di,dj) of GEMM
+    column j is xf[:, j+off] with off = di*(W+2)+dj, and column j is the
+    output pixel written at grid column j+W+3 (columns that wrap across a
+    row or image edge land in the ring, which is zeroed). The forward
+    gathers the nine taps of TILE columns into one (9C, TILE) patch and
+    runs one (O,9C)@(9C,TILE) GEMM per tile (im2col, one tile at a time,
+    so the unrolled input is never whole in memory). The output is the
+    NCHW interior view of the (O, Lp) output grid.
 
-    Backward re-pads x instead of keeping xf alive. The input gradient is
-    the same kernel run on the padded output gradient with the flipped,
-    transposed weights: a gather, so each input pixel sums its nine taps
-    in one GEMM column, and a batch row's bits do not depend on where the
-    tile edges fall (a scatter-add of per-tile tap gradients would add in
-    an order set by the row's place in the batch). It is skipped when x
-    needs no gradient. The weight gradient sums patch @ gem_tile.T over
-    the same tiles, gem being the output-grid gradient.
+    Backward reads x's grid again, a copy only when x is not born padded,
+    rather than keeping one alive. The input gradient is the same kernel
+    run on the grid of the output gradient g (g's own when g is born
+    padded) with the flipped, transposed weights, and it is born padded:
+    a gather, so each input pixel sums its nine taps in one GEMM column,
+    and a batch row's bits do not depend on where the tile edges fall (a
+    scatter-add of per-tile tap gradients would add in an order set by the
+    row's place in the batch). It is skipped when x needs no gradient.
+    The weight gradient sums patch @ gem_tile.T over the same tiles, gem
+    being g's grid from column W+3 on, the GEMM columns' gradient.
     """
     x, w = _wrap(x), _wrap(w)
     if x.ndim == 3:
@@ -499,15 +575,8 @@ def conv2d_same(x, w, b=None) -> Tensor:
         )
     B, C, H, W = xd.shape
     O = w.shape[0]
-    Hp, Wp = H + 2, W + 2
-    L = B * Hp * Wp
-    # GEMM column count: the M = L-2*Wp-2 output columns rounded up to a
-    # multiple of 32, so that no pixel falls in a BLAS edge kernel (edge
-    # kernels round differently, and where the edge lies depends on B);
-    # TILE is a multiple of 32 too, so every tile's GEMM width is one. The
-    # extra columns read zeros and are cropped away
-    Mp = -(-(L - 2 * Wp - 2) // 32) * 32
-    Lp = 2 * Wp + 2 + Mp
+    Wp = W + 2
+    Mp = _grid_cols(B, H, W)[0]
     wd = w.data.astype(xd.dtype, copy=False)
     parents = [x, w]
     bd = None
@@ -515,29 +584,25 @@ def conv2d_same(x, w, b=None) -> Tensor:
         b = _wrap(b)
         parents.append(b)
         bd = b.data.astype(xd.dtype, copy=False)
-    acc = _conv_grid(wd.transpose(0, 2, 3, 1).reshape(O, 9 * C),
-                     _pad_fold(xd, Lp), Mp, Wp, bd)
-    out = acc[:, :L].reshape(O, B, Hp, Wp)[:, :, :H, :W]
-    out = out.transpose(1, 0, 2, 3)
+    out = _conv_grid(wd.transpose(0, 2, 3, 1).reshape(O, 9 * C),
+                     _pad_fold(xd), B, H, W, bd)
 
     def bw(g):
-        # output-grid pixel j sits at padded column j + Wp + 1, so padding
-        # g like the input gives the gather operand and, sliced, the grid
-        gf = _pad_fold(g, Lp)
+        # g's grid is the gather operand, and its columns from Wp + 1 on
+        # are the gradient of the GEMM columns (zero where they wrap)
+        gf = _pad_fold(g)
         gem = gf[:, Wp + 1:Wp + 1 + Mp]
         gx = gw = None
         if w.requires_grad_path():
             gwm = np.zeros((9 * C, O), dtype=w.data.dtype)
-            for c0, c1, patch in _patches(_pad_fold(xd, Lp), Mp, Wp):
+            for c0, c1, patch in _patches(_pad_fold(xd), Mp, Wp):
                 gwm += patch @ gem[:, c0:c1].T
             # else the last tile's patch lives on through the gx GEMMs
             del patch
             gw = gwm.reshape(3, 3, C, O).transpose(3, 2, 0, 1)
         if x.requires_grad_path():
             wflip = wd[:, :, ::-1, ::-1].transpose(1, 2, 3, 0)
-            gxf = _conv_grid(wflip.reshape(C, 9 * O), gf, Mp, Wp)
-            gx = gxf[:, :L].reshape(C, B, Hp, Wp)[:, :, :H, :W]
-            gx = gx.transpose(1, 0, 2, 3)
+            gx = _conv_grid(wflip.reshape(C, 9 * O), gf, B, H, W)
         grads = [gx, gw]
         if b is not None:
             grads.append(gem.sum(axis=1, dtype=b.data.dtype))
@@ -584,10 +649,12 @@ def maxpool2x2(x) -> Tensor:
     for qk in q[2::-1]:
         code += 1
         code *= np.not_equal(qk, out, out=ne)
-    shape, dtype = xd.shape, xd.dtype   # bw must not hold xd
+    # bw must not hold xd; the gradient of a born-padded x is born padded
+    shape, dtype, born = xd.shape, xd.dtype, _grid_of(xd) is not None
 
     def bw(g):
-        gx = np.zeros(shape, dtype=dtype)
+        gx = (_grid_zeros(shape, dtype) if born
+              else np.zeros(shape, dtype=dtype))
         for k, gk in enumerate(corners(gx)):
             # dense; a masked copy is slower
             np.multiply(g, code == k, out=gk)

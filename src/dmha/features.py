@@ -51,9 +51,13 @@ def read_wav(path) -> np.ndarray:
                                      f"{wf.getframerate()} Hz (no resampling)")
                 declared = wf.getnframes()
                 raw = wf.readframes(declared)
-        # a chunk size past the chunk's end makes wave's seek raise a bare
-        # RuntimeError
-        except (wave.Error, EOFError, RuntimeError) as exc:
+        # a chunk size past the RIFF chunk's end makes wave's seek raise a
+        # bare RuntimeError
+        except RuntimeError:
+            raise ValueError("not a PCM wav file (a chunk runs past the end "
+                             "of the file)") from None
+        # a text-less EOFError is a header cut short
+        except (wave.Error, EOFError) as exc:
             raise ValueError("not a PCM wav file "
                              f"({str(exc) or 'truncated header'})") from None
         if len(raw) % 2:

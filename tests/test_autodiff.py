@@ -439,6 +439,86 @@ def test_pool_takeover_matches_relu_then_pool_bit_for_bit(
         np.testing.assert_array_equal(new, t.grad)
 
 
+def _born_padded(a):
+    """a copied into the interior of a zeroed grid, as a conv writes its
+    output."""
+    view = ad._grid_zeros(a.shape, a.dtype)
+    view[...] = a
+    return view
+
+
+def _ring_is_zero(a):
+    """Whether every column of born-padded a's grid outside a is +0."""
+    grid = ad._grid_of(a)
+    assert grid is not None
+    ring = np.ones(grid.shape, dtype=bool)
+    B, _, H, W = a.shape
+    ad._interior(ring, B, H, W)[...] = False
+    return not grid[ring].view(f"u{grid.itemsize}").any()
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), batch=st.integers(1, 3),
+       cin=st.sampled_from([1, 2, 3, 8, 16]),
+       cout=st.sampled_from([1, 2, 5, 8, 16]),
+       h=st.sampled_from([3, 5, 7, 9]), w=st.sampled_from([3, 5, 7, 9, 11]),
+       dtype=st.sampled_from([np.float32, np.float64]))
+@settings(max_examples=60, deadline=None)
+def test_born_padded_conv_bits_match_dense(seed, batch, cin, cout, h, w,
+                                           dtype):
+    """Two convs, a then b, give the same outputs and x, w and b gradients
+    bit for bit whether every map they pass is born padded (x in a grid,
+    relu_ on a's output grid, or b reading that grid directly, so the
+    gradients reach a in grids too) or a contiguous copy (relu, or a copy
+    by scaling with 1). relu_ leaves the ring of a's grid zero, and the
+    ReLU and maxpool backward give the dense formulas' bits in a grid."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal((batch, cin, h, w)).astype(dtype)
+    params = [rng.standard_normal(s) for s in ((cout, cin, 3, 3), (cout,),
+                                               (cout, cout, 3, 3), (cout,))]
+    g = rng.standard_normal((batch, cout, h, w)).astype(dtype)
+    for born_mid, dense_mid in ((ad.relu_, ad.relu),
+                                (lambda t: t, lambda t: ad.scale(t, 1.0))):
+        runs = []
+        for born, x, mid in ((True, _born_padded(x0), born_mid),
+                             (False, x0.copy(), dense_mid)):
+            xt = Tensor(x, requires_grad=True)
+            leaves = [xt] + [Tensor(p, requires_grad=True) for p in params]
+            a = ad.conv2d_same(xt, *leaves[1:3])
+            a_out = a.data.copy()
+            m = mid(a)
+            if born:
+                assert ad._grid_of(xt.data) is not None
+                assert _ring_is_zero(m.data)
+            out = ad.conv2d_same(m, *leaves[3:])
+            (out * Tensor(g)).sum().backward()
+            runs.append([a_out, out.data] + [t.grad for t in leaves])
+        for new, ref in zip(*runs):
+            assert _bits(new) == _bits(ref)
+
+    conv = ad.conv2d_same(Tensor(x0), Tensor(params[0], requires_grad=True))
+    y = ad.relu_(conv)
+    gy = rng.standard_normal(y.shape).astype(dtype)
+    (gx,) = y._backward(gy)
+    assert ad._grid_of(gx) is not None and _ring_is_zero(gx)
+    assert _bits(gx) == _bits(gy * (y.data > 0))
+
+    conv = ad.conv2d_same(Tensor(x0), Tensor(params[0], requires_grad=True))
+    pooled = ad.maxpool2x2(conv)
+    gp = rng.standard_normal(pooled.shape).astype(dtype)
+    (gx,) = pooled._backward(gp)
+    assert ad._grid_of(gx) is not None and _ring_is_zero(gx)
+    # the dense formula: the first corner equal to the max takes g, the
+    # others g * 0
+    ho, wo = h // 2, w // 2
+    q = np.stack([conv.data[:, :, i:2 * ho:2, j:2 * wo:2]
+                  for i in (0, 1) for j in (0, 1)])
+    first = np.argmax(q == pooled.data, axis=0)
+    expected = np.zeros(conv.shape, dtype=dtype)
+    for k, (i, j) in enumerate((i, j) for i in (0, 1) for j in (0, 1)):
+        expected[:, :, i:2 * ho:2, j:2 * wo:2] = gp * (first == k)
+    assert _bits(gx) == _bits(expected)
+
+
 def test_pool_takeover_drops_the_input_from_the_graph(rng):
     """The pool node gets its input's parents, so the graph no longer
     reaches the input; with no graph to record, the input is untouched."""

@@ -594,9 +594,12 @@ def test_wav_shorter_than_its_header_is_a_one_line_error(
     assert not (tmp_path / "emb.txt").exists()
 
 
-@pytest.mark.parametrize("damage", ["fmt-size", "riff-only"])
+@pytest.mark.parametrize("damage, reason", [
+    ("fmt-size", "a chunk runs past the end of the file"),
+    ("riff-only", "truncated header"),
+], ids=["fmt-size", "riff-only"])
 def test_damaged_wav_header_is_a_one_line_error(cli_workspace, capsys,
-                                                tmp_path, damage):
+                                                tmp_path, damage, reason):
     """A fmt chunk size of 235 sends wave past the fmt chunk into the
     samples, whose bytes read as a chunk size past the file's end: wave's
     seek raised a bare RuntimeError and extract died with a traceback. A
@@ -613,7 +616,7 @@ def test_damaged_wav_header_is_a_one_line_error(cli_workspace, capsys,
     _, (code, _, err) = _extract_manifest(capsys, cli_workspace, tmp_path,
                                           [("spk000", "u0", str(wav))])
     assert code == 1
-    assert err == f"error: {wav}: not a PCM wav file (truncated header)\n"
+    assert err == f"error: {wav}: not a PCM wav file ({reason})\n"
     assert not (tmp_path / "emb.txt").exists()
 
 
