@@ -8,6 +8,7 @@ the bracketing operating points; DCF is reported unnormalized.
 from __future__ import annotations
 
 import contextlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,19 @@ def naming(path, line=None):
         raise
     except ValueError as exc:
         raise FormatError(path, exc, line) from None
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """Yields path + ".tmp" to write path through: renamed over path when the
+    block ends, removed when it raises, so path is never half written."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def text_lines(path) -> list[tuple[int, str]]:

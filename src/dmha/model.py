@@ -114,9 +114,9 @@ class SpeakerModel:
         return out
 
     def load_state_tensors(self, tensors: dict[str, np.ndarray]):
-        """Load state_tensors()-named arrays; a tensor that is missing, has
-        the wrong shape or holds a NaN or inf is a ValueError naming the
-        tensor."""
+        """Take state_tensors()-named float64 arrays, as load_checkpoint
+        returns them, without a copy; a tensor that is missing or has the
+        wrong shape is a ValueError naming the tensor."""
         for name, t in self.state_tensors().items():
             if name not in tensors:
                 raise ValueError(f"tensor {name} is missing")
@@ -124,13 +124,11 @@ class SpeakerModel:
                 raise ValueError(f"tensor {name} has shape "
                                  f"{tensors[name].shape}, the model needs "
                                  f"{t.shape}")
-            if not np.isfinite(tensors[name]).all():
-                raise ValueError(f"tensor {name} is not finite")
         for name, t in self.params.items():
-            t.data = np.array(tensors[name], dtype=np.float64)
+            t.data = tensors[name]
         for name, st in self.bn_states.items():
-            st.running_mean = np.array(tensors[name + ".running_mean"])
-            st.running_var = np.array(tensors[name + ".running_var"])
+            st.running_mean = tensors[name + ".running_mean"]
+            st.running_var = tensors[name + ".running_var"]
 
 
 # ---- embedding file format -------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import write_wav
-from .metrics import Trial
+from .metrics import Trial, replacing
 
 SAMPLE_RATE = 16000
 SNR_DB = 20.0
@@ -121,9 +121,8 @@ def generate_corpus(out_dir, num_speakers: int, utts_per_speaker: int,
 
     Deterministic under seed: every utterance has its own RNG stream
     derived from (seed, speaker index, utterance index). Any old manifest
-    is removed before the first wav, and the new one is written to a
-    temporary file that is renamed into place after the last wav, so a
-    failed run leaves no manifest.
+    is removed before the first wav, and the new one takes its place
+    (metrics.replacing) only after the last, so a failed run leaves none.
     """
     if num_speakers < 2:
         raise ValueError("need at least 2 speakers")
@@ -133,24 +132,17 @@ def generate_corpus(out_dir, num_speakers: int, utts_per_speaker: int,
     wav_dir = os.path.join(out_dir, "wav")
     os.makedirs(wav_dir, exist_ok=True)
     manifest = os.path.join(out_dir, "manifest.tsv")
-    tmp = manifest + ".tmp"
     if os.path.exists(manifest):
         os.remove(manifest)
-    try:
-        with open(tmp, "w", encoding="utf-8") as mf:
-            for si, spk in enumerate(_speaker_bank(num_speakers, seed)):
-                for ui in range(utts_per_speaker):
-                    rng = np.random.default_rng(
-                        [seed, zlib.crc32(b"utt"), si, ui])
-                    audio = synthesize_utterance(spk, duration_s, rng)
-                    uid = f"{spk.id}-u{ui:03d}"
-                    path = os.path.join(wav_dir, uid + ".wav")
-                    write_wav(path, audio)
-                    mf.write(f"{spk.id}\t{uid}\t{path}\n")
-        os.replace(tmp, manifest)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with replacing(manifest) as tmp, open(tmp, "w", encoding="utf-8") as mf:
+        for si, spk in enumerate(_speaker_bank(num_speakers, seed)):
+            for ui in range(utts_per_speaker):
+                rng = np.random.default_rng([seed, zlib.crc32(b"utt"), si, ui])
+                audio = synthesize_utterance(spk, duration_s, rng)
+                uid = f"{spk.id}-u{ui:03d}"
+                path = os.path.join(wav_dir, uid + ".wav")
+                write_wav(path, audio)
+                mf.write(f"{spk.id}\t{uid}\t{path}\n")
     return manifest
 
 

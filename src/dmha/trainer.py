@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import features as feat
-from .metrics import naming, text_lines
+from .metrics import naming, replacing, text_lines
 from .model import ModelConfig, SpeakerModel
 
 
@@ -177,34 +177,29 @@ def save_checkpoint(path, config: dict, tensors: dict):
     """Little-endian binary: magic, u32 version, length-prefixed UTF-8
     key=value block, then per-tensor records (name, rank, dims, raw f64).
 
-    The bytes go to a temporary file beside path, which is fsynced and
-    then renamed over path: a crash mid-write leaves the old file whole."""
+    The bytes are fsynced before they replace path (metrics.replacing): a
+    crash mid-write leaves the old file whole."""
     blob = "".join(f"{k}={config[k]}\n" for k in sorted(config)).encode()
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(CKPT_MAGIC)
-            f.write(struct.pack("<I", CKPT_VERSION))
-            f.write(struct.pack("<I", len(blob)))
-            f.write(blob)
-            f.write(struct.pack("<I", len(tensors)))
-            for name in sorted(tensors):
-                arr = np.ascontiguousarray(tensors[name], dtype="<f8")
-                nb = name.encode()
-                f.write(struct.pack("<H", len(nb)))
-                f.write(nb)
-                f.write(struct.pack("<B", arr.ndim))
-                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                f.write(arr.tobytes())
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with replacing(path) as tmp, open(tmp, "wb") as f:
+        f.write(CKPT_MAGIC)
+        f.write(struct.pack("<I", CKPT_VERSION))
+        f.write(struct.pack("<I", len(blob)))
+        f.write(blob)
+        f.write(struct.pack("<I", len(tensors)))
+        for name in sorted(tensors):
+            arr = np.ascontiguousarray(tensors[name], dtype="<f8")
+            nb = name.encode()
+            f.write(struct.pack("<H", len(nb)))
+            f.write(nb)
+            f.write(struct.pack("<B", arr.ndim))
+            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            f.write(arr.tobytes())
+        f.flush()
+        os.fsync(f.fileno())
 
 
 def load_checkpoint(path):
+    """(config, tensors) at path; each tensor is a float64 array of its own."""
     with naming(path), open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
 
@@ -250,10 +245,12 @@ def load_checkpoint(path):
             dims = struct.unpack(f"<{rank}I", read(4 * rank))
             data = np.frombuffer(read(8 * math.prod(dims)), dtype="<f8")
             try:
-                tensors[name] = data.reshape(dims).copy()
+                tensors[name] = data.reshape(dims).astype(np.float64)
             except ValueError:  # numpy caps the rank and the element count
                 raise ValueError(f"corrupt checkpoint (tensor {name} has "
                                  f"dims {dims})") from None
+            if not np.isfinite(tensors[name]).all():
+                raise ValueError(f"tensor {name} is not finite")
         if f.tell() != size:
             raise ValueError(f"corrupt checkpoint ({size - f.tell()} bytes "
                              "after the last tensor)")
@@ -328,7 +325,8 @@ def _run_keys(model_config: ModelConfig, tconfig: TrainConfig) -> dict:
 @dataclass
 class TrainState:
     """Everything a resumed run needs: the model, its Adam moments, the
-    learning rate, the last finished epoch and the plateau counters."""
+    learning rate, the last finished epoch, the plateau counters and the
+    epoch log's rows (epoch, train_loss, val_loss, lr)."""
 
     model: SpeakerModel
     lr: float
@@ -336,6 +334,7 @@ class TrainState:
     epoch: int = 0
     best_val: float = float("inf")
     since_improve: int = 0
+    log_rows: list = field(default_factory=list)
 
     def save(self, path, tconfig: TrainConfig, speakers: list[str]):
         """Write the state as a checkpoint that load_model also reads."""
@@ -352,6 +351,7 @@ class TrainState:
         for name in self.model.params:
             tensors["adam.m." + name] = self.adam.m[name]
             tensors["adam.v." + name] = self.adam.v[name]
+        tensors["train.log"] = np.reshape(self.log_rows, (-1, 4))
         save_checkpoint(path, config, tensors)
 
     @classmethod
@@ -364,7 +364,8 @@ class TrainState:
         train is a ValueError (train() names path), as is an lr that
         TrainConfig rejects, a negative epoch, step or plateau count, a NaN
         or negative best_val (+inf is a run that never improved; a loss is
-        >= 0) or a non-finite Adam moment."""
+        >= 0) or a train.log record that is not (n, 4) with n <= the epoch.
+        A checkpoint without that record resumes with no earlier rows."""
         config, tensors = checkpoint = load_checkpoint(path)
         model, _ = load_model(path, checkpoint)
         # the model.* values as save() would write them
@@ -420,9 +421,12 @@ class TrainState:
                 if moment is None or moment.shape != p.data.shape:
                     raise ValueError(f"tensor {key + name} is missing or "
                                      f"its shape is not {p.data.shape}")
-                if not np.isfinite(moment).all():
-                    raise ValueError(f"tensor {key + name} is not finite")
                 moments[name] = moment
+        log = tensors.get("train.log", np.zeros((0, 4)))
+        if log.ndim != 2 or log.shape[1] != 4 or len(log) > state.epoch:
+            raise ValueError(f"tensor train.log has shape {log.shape}, not "
+                             f"(n, 4) with n <= train.epoch={state.epoch}")
+        state.log_rows = [(int(e), *rest) for e, *rest in log.tolist()]
         return state
 
 
@@ -430,7 +434,7 @@ class TrainState:
 class TrainResult:
     best_path: str
     last_path: str
-    log_rows: list          # (epoch, train_loss, val_loss, lr)
+    log_rows: list          # this call's (epoch, train_loss, val_loss, lr)
     anneal_epochs: list
     epochs_run: int
 
@@ -523,7 +527,7 @@ def _validate(model, tconfig: TrainConfig, utts, label_of, cache) -> float:
 
 
 def _write_log(path, log_rows):
-    with open(path, "w", encoding="utf-8") as f:
+    with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
         f.write("epoch,train_loss,val_loss,lr\n")
         for e, tl, vl, l in log_rows:
             f.write(f"{e},{tl:.17g},{vl:.17g},{l:.17g}\n")
@@ -560,14 +564,14 @@ def train(tconfig: TrainConfig, dataset: list[Utterance],
     best_path, last_path, log_path = (os.path.join(out_dir, name) for name in
                                       ("best.ckpt", "last.ckpt",
                                        "train_log.csv"))
-    log_rows, anneal_epochs = [], []
+    first, anneal_epochs = len(state.log_rows), []
     for epoch in range(state.epoch + 1, tconfig.max_epochs + 1):
         state.epoch = epoch
         train_loss = _run_epoch(state, tconfig, train_utts, label_of, cache,
                                 step_hook)
         val_loss = (_validate(state.model, tconfig, val_utts, label_of, cache)
                     if val_utts else train_loss)
-        log_rows.append((state.epoch, train_loss, val_loss, state.lr))
+        state.log_rows.append((state.epoch, train_loss, val_loss, state.lr))
         if val_loss < state.best_val:
             state.best_val = val_loss
             state.since_improve = 0
@@ -579,10 +583,11 @@ def train(tconfig: TrainConfig, dataset: list[Utterance],
                 anneal_epochs.append(state.epoch)
                 state.since_improve = 0
         state.save(last_path, tconfig, speakers)
-        _write_log(log_path, log_rows)
+        _write_log(log_path, state.log_rows)
         if train_loss < tconfig.train_loss_goal:
             break
     if not os.path.exists(best_path):
         state.save(best_path, tconfig, speakers)
+    log_rows = state.log_rows[first:]
     return TrainResult(best_path, last_path, log_rows, anneal_epochs,
                        epochs_run=len(log_rows))

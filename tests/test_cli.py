@@ -517,6 +517,30 @@ def test_checkpoint_tensor_not_finite_is_a_one_line_error(
     assert not emb.exists()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_checkpoint_with_a_non_finite_adam_moment_is_a_one_line_error(
+        cli_workspace, capsys, tmp_path, bad):
+    """The reader checks every tensor, so a damaged Adam moment stops
+    extract and eval --checkpoint too, though neither uses the moments."""
+    ws = cli_workspace
+    config, tensors = tr.load_checkpoint(ws["ckpt"])
+    name = min(k for k in tensors if k.startswith("adam.m."))
+    tensors[name].reshape(-1)[0] = bad
+    ckpt = tmp_path / "bad.ckpt"
+    tr.save_checkpoint(ckpt, config, tensors)
+    manifest = str(ws["corpus"] / "manifest.tsv")
+    emb, scores = tmp_path / "emb.txt", tmp_path / "scores.txt"
+    for argv in (["extract", "--checkpoint", str(ckpt), "--data", manifest,
+                  "--out", str(emb)],
+                 ["eval", "--trials", str(ws["corpus"] / "trials.txt"),
+                  "--checkpoint", str(ckpt), "--data", manifest,
+                  "--scores-out", str(scores)]):
+        code, _, err = _run(capsys, *argv)
+        assert code == 1, argv[0]
+        assert err == f"error: {ckpt}: tensor {name} is not finite\n"
+    assert not emb.exists() and not scores.exists()
+
+
 def test_embedding_count_mismatch_names_the_file(capsys, tmp_path):
     emb = tmp_path / "emb.txt"
     emb.write_text("dim=2 count=3\na 1 0\nb 1 1\n")

@@ -193,6 +193,27 @@ def test_naming_passes_a_format_error_and_other_errors_unchanged():
             raise KeyError("speakers")
 
 
+def test_replacing_swaps_the_file_whole_or_not_at_all(tmp_path):
+    """A block that raises leaves the old file and no .tmp; one that ends
+    replaces the file, again leaving no .tmp."""
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    with pytest.raises(OSError, match="disk full"):
+        with mt.replacing(path) as tmp:
+            with open(tmp, "w", encoding="utf-8") as f:
+                f.write("half")
+            raise OSError("disk full")
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+    with mt.replacing(path) as tmp:
+        assert tmp == f"{path}.tmp"
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write("new\n")
+        assert path.read_text() == "old\n"
+    assert path.read_text() == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
 def test_score_trials_missing_utterance_listed():
     trials = [mt.Trial(1, "a", "zz")]
     with pytest.raises(ValueError, match="zz"):

@@ -5,6 +5,7 @@ bounds every length by the file, and the log is written per epoch."""
 import dataclasses
 import errno
 import os
+import shutil
 import struct
 import sys
 
@@ -314,6 +315,37 @@ def test_failed_checkpoint_write_leaves_the_previous_one(
                                        "train_log.csv"]
 
 
+class _LogDiskFullAfter(_DiskFullAfter):
+    """_DiskFullAfter for an open() that passes an encoding."""
+
+    def __init__(self, path, mode, budget, **kw):
+        self.f = open(path, mode, **kw)
+        self.budget = budget
+
+
+def test_failed_log_rewrite_leaves_the_previous_log(
+        tiny_corpus, tiny_run_config, tmp_path, monkeypatch):
+    """train_log.csv is replaced whole: a rewrite that fails after the
+    header leaves the last epoch's log, and no .tmp beside it."""
+    _, utts = tiny_corpus
+    mc = tiny_run_config.model_config(3)
+    out = tmp_path / "run"
+    first = tr.train(_tiny_train_config(max_epochs=1), utts, mc, out)
+    before = (out / "train_log.csv").read_bytes()
+    header = len("epoch,train_loss,val_loss,lr\n")
+    monkeypatch.setattr(tr, "open", lambda path, mode="r", **kw:
+                        _LogDiskFullAfter(path, mode, header, **kw)
+                        if "train_log" in os.fspath(path)
+                        else open(path, mode, **kw), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        tr.train(_tiny_train_config(max_epochs=2), utts, mc, out,
+                 resume=first.last_path)
+    monkeypatch.undo()
+    assert (out / "train_log.csv").read_bytes() == before
+    assert sorted(os.listdir(out)) == ["best.ckpt", "last.ckpt",
+                                       "train_log.csv"]
+
+
 def _checkpoint_bytes(directory) -> bytes:
     path = directory / "valid.ckpt"
     tr.save_checkpoint(path, {"model.hidden": 4, "train.lr": repr(0.5)},
@@ -403,6 +435,95 @@ def test_log_is_on_disk_while_training(tiny_corpus, tiny_run_config,
     e, tl, vl, lr = res.log_rows[0]
     assert seen[0][1] == f"{e},{tl:.17g},{vl:.17g},{lr:.17g}"
     assert len(log.read_text().splitlines()) == 3
+
+
+# ---- the epoch log across a resume --------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def resume_log_runs(tmp_path_factory):
+    """A 5-epoch run and a 3-epoch one of the same config, in their own
+    out-dirs: (train(epochs, out, resume) for that config, straight, first)."""
+    root = tmp_path_factory.mktemp("resume_log")
+    utts = tr.load_manifest(sd.generate_corpus(root / "corpus", 3, 4,
+                                               duration_s=1.5, seed=3))
+    cfg = RunConfig(base_channels=2, n_mels=32, hidden=16, pooling="dmha",
+                    heads=2, s=5.0, m=0.2, chunk_frames=64, batch_size=4,
+                    lr=1e-3, validation_fraction=0.34, seed=3).validate()
+
+    def run(epochs, out, resume=None):
+        return tr.train(dataclasses.replace(cfg.train_config(),
+                                            max_epochs=epochs),
+                        utts, cfg.model_config(), out, resume=resume)
+
+    return run, run(5, root / "straight"), run(3, root / "first")
+
+
+def _log_lines(result) -> list[str]:
+    path = os.path.join(os.path.dirname(result.last_path), "train_log.csv")
+    with open(path, encoding="utf-8") as f:
+        return f.read().splitlines()
+
+
+def test_in_place_resume_log_matches_a_straight_run(resume_log_runs,
+                                                    tmp_path):
+    """3 epochs, then a resume in the same out-dir to 5, leave the same
+    train_log.csv bytes as 5 straight epochs; the result still counts only
+    the resumed call's epochs."""
+    run, straight, first = resume_log_runs
+    out = tmp_path / "in_place"
+    shutil.copytree(os.path.dirname(first.last_path), out)
+    resumed = run(5, out, resume=out / "last.ckpt")
+    assert resumed.epochs_run == 2
+    assert [row[0] for row in resumed.log_rows] == [4, 5]
+    assert resumed.log_rows == straight.log_rows[3:]
+    straight_log = os.path.join(os.path.dirname(straight.last_path),
+                                "train_log.csv")
+    with open(straight_log, "rb") as f:
+        assert (out / "train_log.csv").read_bytes() == f.read()
+
+
+def test_resume_into_a_fresh_out_dir_writes_the_whole_log(resume_log_runs,
+                                                          tmp_path):
+    run, straight, first = resume_log_runs
+    resumed = run(5, tmp_path / "fresh", resume=first.last_path)
+    lines = _log_lines(resumed)
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "4",
+                                                          "5"]
+    assert lines == _log_lines(straight)
+
+
+def test_resume_from_a_checkpoint_without_the_log_logs_the_resumed_epochs(
+        resume_log_runs, tmp_path):
+    """A checkpoint written before the state carried the log resumes with
+    no earlier rows, to the same rows as a straight run's last two."""
+    run, straight, first = resume_log_runs
+    config, tensors = tr.load_checkpoint(first.last_path)
+    del tensors["train.log"]
+    ckpt = tmp_path / "old.ckpt"
+    tr.save_checkpoint(ckpt, config, tensors)
+    resumed = run(5, tmp_path / "run", resume=ckpt)
+    full = _log_lines(straight)
+    assert _log_lines(resumed) == [full[0]] + full[4:]
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (8,), (3, 4)],
+                         ids=["three-columns", "rank-1", "more-rows-than-epochs"])
+def test_misshapen_log_record_is_a_format_error_before_anything_is_written(
+        two_epoch_run, tiny_run_config, tmp_path, shape):
+    utts, last = two_epoch_run
+    config, tensors = tr.load_checkpoint(last)
+    tensors["train.log"] = np.ones(shape)
+    ckpt = tmp_path / "resume.ckpt"
+    tr.save_checkpoint(ckpt, config, tensors)
+    out = tmp_path / "run"
+    with pytest.raises(FormatError) as exc:
+        tr.train(_tiny_train_config(max_epochs=3), utts,
+                 tiny_run_config.model_config(3), out, resume=ckpt)
+    assert (exc.value.path, exc.value.line) == (ckpt, None)
+    assert str(exc.value) == (f"{ckpt}: tensor train.log has shape {shape}, "
+                              "not (n, 4) with n <= train.epoch=2")
+    assert not out.exists()
 
 
 # ---- resume must match the run, checkpoint values must parse -----------------
