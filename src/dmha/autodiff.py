@@ -40,16 +40,17 @@ kernel, a gather, so its bits do not depend on the batch either.
 Maps are born padded: the conv writes its output, and its input
 gradient, straight into a new grid, which is then the next conv's input
 (or the previous conv's output gradient); the NCHW tensor it returns is
-the grid's interior view. The ReLU and maxpool backward write the
-gradient of a born-padded map into a zeroed grid. So a conv copies into a
-grid only a map that was not born in one (the mel, a pooled map). relu_
-writes the interior only, and nothing else writes a grid, so a ring
-stays zero.
+the grid's interior view. The ReLU backward writes the gradient of a
+born-padded map, and the maxpool backward every input gradient, into a
+zeroed grid. So a conv copies into a grid only a map that was not born
+in one (the mel, a pooled map). relu_ writes the interior only, and
+nothing else writes a grid, so a ring stays zero.
 """
 
 from __future__ import annotations
 
 import contextlib
+import graphlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,26 +122,22 @@ class Tensor:
         reached plus a few gradients, not the whole graph. A consumed node's
         backward raises ValueError, so a second backward(), or a consumed
         tensor used in a new graph, fails instead of dropping gradient.
+        The order is graphlib's topological sort of {node: its parents},
+        keyed by identity (Tensor defines no __eq__); the dict is deleted
+        before the sweep, so that it holds no consumed node.
         """
         if self.data.size != 1:
             raise ValueError(
                 f"backward seed must be scalar, got shape {self.shape}"
             )
-        topo = []
-        seen = set()
-        stack = [(self, False)]
+        graph, stack = {}, [self]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
+            node = stack.pop()
+            if node not in graph:
+                graph[node] = node._parents
+                stack.extend(node._parents)
+        topo = list(graphlib.TopologicalSorter(graph).static_order())
+        del graph
         self.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
@@ -206,8 +203,7 @@ def _backprop(node: Tensor):
     for parent, g in zip(parents, grads):
         if g is None or not parent.requires_grad_path():
             continue
-        if g.dtype != parent.data.dtype:
-            g = g.astype(parent.data.dtype)
+        g = g.astype(parent.data.dtype, copy=False)
         if parent.grad is None:
             # a leaf keeps its gradient, so it gets its own; an inner
             # node's is read once by its backward, and a view serves
@@ -649,12 +645,10 @@ def maxpool2x2(x) -> Tensor:
     for qk in q[2::-1]:
         code += 1
         code *= np.not_equal(qk, out, out=ne)
-    # bw must not hold xd; the gradient of a born-padded x is born padded
-    shape, dtype, born = xd.shape, xd.dtype, _grid_of(xd) is not None
+    shape, dtype = xd.shape, xd.dtype  # bw must not hold xd
 
     def bw(g):
-        gx = (_grid_zeros(shape, dtype) if born
-              else np.zeros(shape, dtype=dtype))
+        gx = _grid_zeros(shape, dtype)
         for k, gk in enumerate(corners(gx)):
             # dense; a masked copy is slower
             np.multiply(g, code == k, out=gk)

@@ -153,6 +153,9 @@ def cmd_score(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.embeddings and (args.checkpoint or args.data):
+        raise ValueError("eval takes --embeddings or --checkpoint with "
+                         "--data, not both")
     trials = mt.read_trials(args.trials)
     if args.embeddings:
         embeddings = mdl.read_embeddings(args.embeddings)

@@ -560,10 +560,16 @@ def train(tconfig: TrainConfig, dataset: list[Utterance],
         raise ValueError(f"fconfig {fconfig} does not match the model's "
                          f"front-end {front_end}")
     cache = FeatureCache(dataset, front_end)
-    os.makedirs(out_dir, exist_ok=True)
     best_path, last_path, log_path = (os.path.join(out_dir, name) for name in
                                       ("best.ckpt", "last.ckpt",
                                        "train_log.csv"))
+    # a resume into a fresh out-dir keeps the best.ckpt beside its source
+    earlier = os.path.join(os.path.dirname(resume or ""), "best.ckpt")
+    kept = (load_checkpoint(earlier) if resume is not None and not
+            os.path.exists(best_path) and os.path.exists(earlier) else None)
+    os.makedirs(out_dir, exist_ok=True)
+    if kept and kept[0].get("train.best_val") == str(state.best_val):
+        save_checkpoint(best_path, *kept)
     first, anneal_epochs = len(state.log_rows), []
     for epoch in range(state.epoch + 1, tconfig.max_epochs + 1):
         state.epoch = epoch

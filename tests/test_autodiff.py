@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import dmha.autodiff as ad
 from dmha.autodiff import BatchNormState, Tensor, grad_check
 from dmha.encoder import EncoderConfig
+from dmha.model import ModelConfig, SpeakerModel
 
 
 def _loss(t):
@@ -827,6 +828,89 @@ def test_consumed_tensor_in_a_new_graph_raises(rng):
     x.zero_grad()
     (x * x).sum().backward()
     np.testing.assert_array_equal(x.grad, 2.0 * x.data)
+
+
+def _reference_backward(root):
+    """The sweep Tensor.backward ran before it took its order from
+    graphlib: a two-phase post-order DFS with a seen-set of ids."""
+    topo, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    root.grad = np.ones_like(root.data)
+    while topo:
+        node = topo.pop()
+        if node._backward is not None:
+            ad._backprop(node)
+
+
+def _desk_step_grads(kind, heads, dtype, sweep):
+    """Every parameter gradient of one desk training step (B=16, 200 x 80
+    chunks, base_channels 8), its loss swept by sweep."""
+    config = ModelConfig(encoder=EncoderConfig(base_channels=8, n_mels=80),
+                         pooling_kind=kind, num_heads=heads, hidden=64,
+                         num_speakers=16, s=10.0, m=0.2)
+    model = SpeakerModel(config, seed=0)
+    rng = np.random.default_rng(0)
+    mel = rng.standard_normal((16, 200, 80)).astype(dtype)
+    labels = rng.integers(0, 16, size=16)
+    sweep(model.forward(mel, labels=labels, training=True)["loss"])
+    return {name: _bits(p.grad) for name, p in model.params.items()}
+
+
+@pytest.mark.parametrize("kind, heads, dtype", [
+    ("attention", 1, np.float32), ("mha", 8, np.float32),
+    ("dmha", 8, np.float32), ("dmha", 8, np.float64)])
+def test_backward_matches_the_reference_sweep_bit_for_bit(kind, heads,
+                                                          dtype):
+    """graphlib's order differs from the DFS's, but on a desk step no
+    parameter gradient differs by a bit."""
+    grads = _desk_step_grads(kind, heads, dtype, Tensor.backward)
+    assert grads == _desk_step_grads(kind, heads, dtype, _reference_backward)
+
+
+def test_three_gradient_contributions_sum_to_the_analytic_gradient(rng):
+    """Batchnorm's centred input c gets three gradients, two through c * c
+    and one through c * scale; their sum is the closed-form batchnorm
+    gradient. The swept graph then refuses a second backward."""
+    B, F = 5, 3
+    x = Tensor(rng.standard_normal((B, F)), requires_grad=True)
+    gamma = Tensor(rng.standard_normal(F), requires_grad=True)
+    beta = Tensor(rng.standard_normal(F), requires_grad=True)
+    w = rng.standard_normal((B, F))
+    loss = (ad.batchnorm(x, gamma, beta, BatchNormState.create(F),
+                         training=True) * Tensor(w)).sum()
+    consumers, stack, seen = {}, [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            for p in node._parents:
+                consumers[id(p)] = consumers.get(id(p), 0) + 1
+                stack.append(p)
+    assert max(consumers.values()) == 3
+    loss.backward()
+    centred = x.data - x.data.mean(axis=0)
+    inv_std = 1.0 / np.sqrt((centred ** 2).mean(axis=0) + BatchNormState.eps)
+    xhat = centred * inv_std
+    np.testing.assert_allclose(
+        x.grad, gamma.data * inv_std / B * (
+            B * w - w.sum(axis=0) - xhat * (w * xhat).sum(axis=0)),
+        rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(gamma.grad, (w * xhat).sum(axis=0),
+                               rtol=1e-12)
+    np.testing.assert_allclose(beta.grad, w.sum(axis=0), rtol=1e-12)
+    with pytest.raises(ValueError, match="earlier backward consumed"):
+        loss.backward()
 
 
 def test_no_grad_blocks_graph(rng):

@@ -175,6 +175,22 @@ def test_eval_without_embeddings_or_checkpoint_is_a_one_line_error(
                    "--data\n")
 
 
+@pytest.mark.parametrize("extra", [["--checkpoint", "m.ckpt"],
+                                   ["--data", "m.tsv"],
+                                   ["--checkpoint", "m.ckpt", "--data",
+                                    "m.tsv"]])
+def test_eval_with_embeddings_and_a_checkpoint_input_is_a_one_line_error(
+        capsys, tmp_path, extra):
+    """None of the named files exists, so the error comes before any file
+    is read."""
+    code, out, err = _run(capsys, "eval", "--embeddings",
+                          str(tmp_path / "emb.txt"), "--trials",
+                          str(tmp_path / "trials.txt"), *extra)
+    assert code == 1 and out == ""
+    assert err == ("error: eval takes --embeddings or --checkpoint with "
+                   "--data, not both\n")
+
+
 def test_dmha_heads1_equals_attention_end_to_end(cli_workspace, capsys,
                                                  tmp_path):
     """K=1 equivalence surfaces through the whole pipeline: training the

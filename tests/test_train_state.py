@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from dmha import cli
 from dmha import synthdata as sd
 from dmha import trainer as tr
+from dmha.autodiff import Tensor
 from dmha.config import RunConfig
 from dmha.metrics import FormatError
 
@@ -68,6 +69,48 @@ def test_in_place_resume_keeps_the_best_checkpoint(tmp_path):
                  (straight.last_path, resumed.last_path)):
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read()
+
+
+def _flat_loss_runs(utts, tiny_run_config, tmp_path, monkeypatch):
+    """A constant loss, so only epoch 1 improves: 2 epochs in out-dir a,
+    and a run(out_dir) that resumes a's last.ckpt to 3 epochs."""
+    monkeypatch.setattr(tr, "_forward_batch",
+                        lambda model, mels, labels, training: Tensor(1.0))
+
+    def run(epochs, out, resume=None):
+        return tr.train(_tiny_train_config(max_epochs=epochs,
+                                           validation_fraction=0.34),
+                        utts, tiny_run_config.model_config(3),
+                        tmp_path / out, resume=resume)
+
+    first = run(2, "a")
+    assert tr.load_checkpoint(first.best_path)[0]["train.epoch"] == "1"
+    return first, lambda out: run(3, out, resume=first.last_path)
+
+
+def test_resume_into_a_fresh_out_dir_keeps_the_earlier_best(
+        tiny_corpus, tiny_run_config, tmp_path, monkeypatch):
+    """No resumed epoch improves, so the new out-dir's best.ckpt is the
+    resumed run's, byte for byte, not the last state."""
+    first, resume = _flat_loss_runs(tiny_corpus[1], tiny_run_config,
+                                    tmp_path, monkeypatch)
+    resumed = resume("b")
+    assert resumed.epochs_run == 1
+    with open(first.best_path, "rb") as fa, \
+            open(resumed.best_path, "rb") as fb:
+        assert fa.read() == fb.read()
+
+
+def test_resume_beside_a_damaged_best_is_an_error_before_anything_is_written(
+        tiny_corpus, tiny_run_config, tmp_path, monkeypatch):
+    first, resume = _flat_loss_runs(tiny_corpus[1], tiny_run_config,
+                                    tmp_path, monkeypatch)
+    with open(first.best_path, "r+b") as f:
+        f.truncate(100)
+    with pytest.raises(FormatError, match="truncated checkpoint") as exc:
+        resume("b")
+    assert exc.value.path == first.best_path
+    assert not (tmp_path / "b").exists()
 
 
 def _write_resume_checkpoint(case, last, path):
