@@ -50,12 +50,28 @@ class ModelConfig:
                              s=self.s, m=self.m)
 
 
-class SpeakerModel:
-    """Parameter container plus forward/extract entry points."""
+class _NoDraw:
+    """A param_rng(name) stand-in whose every draw is a zero-stride view of
+    0.0: it gives a model its tensor names and shapes without numpy.random,
+    which numpy >= 2 imports only on first use."""
 
-    def __init__(self, config: ModelConfig, seed: int):
+    @staticmethod
+    def normal(loc, scale, size):
+        return np.broadcast_to(0.0, size)
+
+
+class SpeakerModel:
+    """Parameter container plus forward/extract entry points.
+
+    SpeakerModel(config, seed) draws its weights from seed's named streams
+    (param_rng_factory); from_state_tensors builds a model that draws no
+    random number, as load_model does for every checkpoint."""
+
+    def __init__(self, config: ModelConfig, seed: int, param_rng=None):
+        """param_rng(name) -> Generator for each drawn tensor, by default
+        param_rng_factory(seed)."""
         self.config = config
-        rng = param_rng_factory(seed)
+        rng = param_rng or param_rng_factory(seed)
         self.params: dict[str, Tensor] = enc.init_params(config.encoder, rng)
         pp = pl.init_params(enc.output_dim(config.encoder), config.num_heads,
                             config.pooling_kind, rng)
@@ -113,22 +129,28 @@ class SpeakerModel:
             out[name + ".running_var"] = st.running_var
         return out
 
-    def load_state_tensors(self, tensors: dict[str, np.ndarray]):
-        """Take state_tensors()-named float64 arrays, as load_checkpoint
-        returns them, without a copy; a tensor that is missing or has the
-        wrong shape is a ValueError naming the tensor."""
-        for name, t in self.state_tensors().items():
+    @classmethod
+    def from_state_tensors(cls, config: ModelConfig,
+                           tensors: dict[str, np.ndarray]) -> "SpeakerModel":
+        """The model whose state_tensors() are tensors: state_tensors()-named
+        float64 arrays, as load_checkpoint returns them, taken without a
+        copy. It draws nothing (_NoDraw stands in for every init draw), so
+        building it imports no numpy.random. A tensor that is missing or has
+        the wrong shape is a ValueError naming the tensor."""
+        model = cls(config, 0, param_rng=lambda name: _NoDraw)
+        for name, t in model.state_tensors().items():
             if name not in tensors:
                 raise ValueError(f"tensor {name} is missing")
             if tensors[name].shape != t.shape:
                 raise ValueError(f"tensor {name} has shape "
                                  f"{tensors[name].shape}, the model needs "
                                  f"{t.shape}")
-        for name, t in self.params.items():
+        for name, t in model.params.items():
             t.data = tensors[name]
-        for name, st in self.bn_states.items():
+        for name, st in model.bn_states.items():
             st.running_mean = tensors[name + ".running_mean"]
             st.running_var = tensors[name + ".running_var"]
+        return model
 
 
 # ---- embedding file format -------------------------------------------------

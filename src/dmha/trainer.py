@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
 import struct
 import zlib
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -198,6 +199,16 @@ def save_checkpoint(path, config: dict, tensors: dict):
         os.fsync(f.fileno())
 
 
+def _copy_checkpoint(src, dst):
+    """Replace dst whole (metrics.replacing) by an fsynced copy of the
+    checkpoint at src, so its state is not serialised again and the two
+    names stay independent files."""
+    with replacing(dst) as tmp:
+        shutil.copyfile(src, tmp)
+        with open(tmp, "r+b") as f:
+            os.fsync(f.fileno())
+
+
 def load_checkpoint(path):
     """(config, tensors) at path; each tensor is a float64 array of its own."""
     with naming(path), open(path, "rb") as f:
@@ -284,7 +295,10 @@ def load_model(path, checkpoint=None) -> tuple[SpeakerModel, dict]:
     """Rebuild a SpeakerModel (and its meta dict) from the checkpoint at
     path, or from its load_checkpoint() pair when already read: the one
     route from a checkpoint to a model. Each model.* value is parsed by its
-    field's type; a missing, malformed or invalid one is a FormatError."""
+    field's type; a missing, malformed or invalid one is a FormatError. The
+    model takes the checkpoint's tensors and draws no random number
+    (SpeakerModel.from_state_tensors), so dmha extract and eval never
+    import numpy.random."""
     config, tensors = checkpoint or load_checkpoint(path)
 
     def build(cls):  # the inverse of _leaf_values
@@ -300,8 +314,7 @@ def load_model(path, checkpoint=None) -> tuple[SpeakerModel, dict]:
         return cls(**kw)
 
     with naming(path):
-        model = SpeakerModel(build(ModelConfig), seed=0)
-        model.load_state_tensors(tensors)
+        model = SpeakerModel.from_state_tensors(build(ModelConfig), tensors)
     return model, config
 
 
@@ -542,7 +555,8 @@ def train(tconfig: TrainConfig, dataset: list[Utterance],
     Deterministic under tconfig.seed: parameter init, the train/val split,
     epoch shuffles and chunk offsets all flow from named sub-streams, and
     epoch streams are keyed by (seed, epoch) so resumed runs replay the
-    identical batch sequence; best.ckpt is written when validation improves.
+    identical batch sequence; best.ckpt is written when validation improves,
+    and last.ckpt is then a copy of it.
     fconfig, if given, must be the model's own front-end, the one
     load_model rebuilds.
     """
@@ -581,19 +595,21 @@ def train(tconfig: TrainConfig, dataset: list[Utterance],
         if val_loss < state.best_val:
             state.best_val = val_loss
             state.since_improve = 0
+            # last.ckpt holds the same state: serialise it once
             state.save(best_path, tconfig, speakers)
+            _copy_checkpoint(best_path, last_path)
         else:
             state.since_improve += 1
             if state.since_improve >= tconfig.anneal_patience:
                 state.lr *= tconfig.anneal_factor
                 anneal_epochs.append(state.epoch)
                 state.since_improve = 0
-        state.save(last_path, tconfig, speakers)
+            state.save(last_path, tconfig, speakers)
         _write_log(log_path, state.log_rows)
         if train_loss < tconfig.train_loss_goal:
             break
     if not os.path.exists(best_path):
-        state.save(best_path, tconfig, speakers)
+        _copy_checkpoint(last_path, best_path)
     log_rows = state.log_rows[first:]
     return TrainResult(best_path, last_path, log_rows, anneal_epochs,
                        epochs_run=len(log_rows))

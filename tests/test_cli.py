@@ -1,6 +1,7 @@
 """Command-line surface: every subcommand end to end, error contract,
 config file handling."""
 
+import json
 import os
 import re
 import struct
@@ -826,6 +827,35 @@ def test_text_files_are_utf8_whatever_the_locale(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
     assert (tmp_path / "s.txt").read_bytes() == \
         "ü1 ü2 0.707106781\n".encode()
+
+
+def test_extract_and_eval_never_import_numpy_random(cli_workspace, tmp_path):
+    """A loaded model draws no random number, so in a fresh interpreter
+    neither dmha extract nor eval --checkpoint loads numpy.random (numpy
+    >= 2 imports it only on first use)."""
+    ws = cli_workspace
+    ckpt, data = str(ws["ckpt"]), str(ws["corpus"] / "manifest.tsv")
+    argvs = [["extract", "--checkpoint", ckpt, "--data", data,
+              "--out", "emb.txt"],
+             ["eval", "--checkpoint", ckpt, "--data", data,
+              "--trials", str(ws["corpus"] / "trials.txt")]]
+    script = ("import contextlib, io, json, sys\n"
+              "import numpy\n"
+              "print('numpy.random' in sys.modules)\n"
+              "from dmha import cli\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        code = cli.main(argv)\n"
+              "    print(argv[0], code, 'numpy.random' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(mdl.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    eager, *commands = proc.stdout.splitlines()
+    if eager == "True":
+        pytest.skip("this numpy imports numpy.random with numpy")
+    assert commands == ["extract 0 False", "eval 0 False"]
 
 
 # ---- weight dumps stay in their directory ----------------------------------------

@@ -358,6 +358,41 @@ def test_failed_checkpoint_write_leaves_the_previous_one(
                                        "train_log.csv"]
 
 
+def test_an_improving_epoch_serialises_its_checkpoint_once(
+        tiny_corpus, tiny_run_config, tmp_path, monkeypatch):
+    """A constant loss, so only epoch 1 improves: its state is serialised
+    once, as best.ckpt, and last.ckpt is a byte-equal copy, a file of its
+    own. Epoch 2 serialises last.ckpt alone and leaves best.ckpt as it
+    was."""
+    out, saved, seen = tmp_path / "run", [], {}
+    save = tr.save_checkpoint
+
+    def counting(path, *args):
+        saved.append(os.path.basename(path))
+        return save(path, *args)
+
+    def at_epoch_2(epoch, step, model):
+        if epoch == 2 and not seen:
+            seen.update((n, (out / n).read_bytes())
+                        for n in ("best.ckpt", "last.ckpt"))
+            seen["same file"] = os.path.samefile(out / "best.ckpt",
+                                                 out / "last.ckpt")
+
+    monkeypatch.setattr(tr, "_forward_batch",
+                        lambda model, mels, labels, training: Tensor(1.0))
+    monkeypatch.setattr(tr, "save_checkpoint", counting)
+    res = tr.train(_tiny_train_config(validation_fraction=0.34),
+                   tiny_corpus[1], tiny_run_config.model_config(3), out,
+                   step_hook=at_epoch_2)
+    assert saved == ["best.ckpt", "last.ckpt"]
+    assert seen["best.ckpt"] == seen["last.ckpt"]
+    assert not seen["same file"]
+    assert (out / "best.ckpt").read_bytes() == seen["best.ckpt"]
+    assert tr.load_checkpoint(res.last_path)[0]["train.epoch"] == "2"
+    assert sorted(os.listdir(out)) == ["best.ckpt", "last.ckpt",
+                                       "train_log.csv"]
+
+
 class _LogDiskFullAfter(_DiskFullAfter):
     """_DiskFullAfter for an open() that passes an encoding."""
 

@@ -311,6 +311,27 @@ def test_load_model_round_trip(tiny_corpus, tmp_path, tiny_run_config):
     assert emb1.shape == (tiny_run_config.hidden,)
 
 
+def test_load_model_draws_no_random_number(tiny_corpus, tmp_path,
+                                           tiny_run_config, monkeypatch):
+    """The checkpoint's tensors make the loaded model, with no throwaway
+    draw: it builds while numpy's default_rng raises, and extracts the bits
+    of the trained model that wrote last.ckpt."""
+    _, utts = tiny_corpus
+    trained = []
+    res = tr.train(_tiny_train_config(max_epochs=1), utts,
+                   tiny_run_config.model_config(3), tmp_path / "run",
+                   step_hook=lambda epoch, step, model: trained.append(model))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a random number was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    model, _ = tr.load_model(res.last_path)
+    for u in utts:
+        for got, want in zip(model.extract(u.path), trained[-1].extract(u.path)):
+            np.testing.assert_array_equal(got, want)
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         tr.TrainConfig(chunk_frames=8)
