@@ -6,8 +6,8 @@ Generates a synthetic 16-speaker corpus, trains one model per pooling kind
 and reports held-out verification EER / minDCF next to the raw
 averaged-mel cosine baseline.
 
-All three kinds took 304 s (seed 42) and 275 s (seed 1) on a 2-vCPU Xeon
-VM with one OpenBLAS thread; run a single kind with --pooling.
+All three kinds took 196 s at seed 42 on a 2-vCPU Xeon VM (Python 3.11.7,
+numpy 2.4.6, one OpenBLAS thread); run a single kind with --pooling.
 """
 
 import argparse

@@ -577,13 +577,13 @@ def train(tconfig: TrainConfig, dataset: list[Utterance],
     best_path, last_path, log_path = (os.path.join(out_dir, name) for name in
                                       ("best.ckpt", "last.ckpt",
                                        "train_log.csv"))
-    # a resume into a fresh out-dir keeps the best.ckpt beside its source
+    # a resume into a fresh out-dir copies the best.ckpt beside its source
     earlier = os.path.join(os.path.dirname(resume or ""), "best.ckpt")
-    kept = (load_checkpoint(earlier) if resume is not None and not
-            os.path.exists(best_path) and os.path.exists(earlier) else None)
+    kept = (load_checkpoint(earlier)[0] if resume is not None and not
+            os.path.exists(best_path) and os.path.exists(earlier) else {})
     os.makedirs(out_dir, exist_ok=True)
-    if kept and kept[0].get("train.best_val") == str(state.best_val):
-        save_checkpoint(best_path, *kept)
+    if kept.get("train.best_val") == str(state.best_val):
+        _copy_checkpoint(earlier, best_path)
     first, anneal_epochs = len(state.log_rows), []
     for epoch in range(state.epoch + 1, tconfig.max_epochs + 1):
         state.epoch = epoch

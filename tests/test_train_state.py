@@ -101,6 +101,26 @@ def test_resume_into_a_fresh_out_dir_keeps_the_earlier_best(
         assert fa.read() == fb.read()
 
 
+def test_resume_into_a_fresh_out_dir_copies_the_earlier_best(
+        tiny_corpus, tiny_run_config, tmp_path, monkeypatch):
+    """The earlier best.ckpt is copied, not serialised again: the resume
+    serialises b/last.ckpt alone, and b/best.ckpt is a's, byte for byte."""
+    first, resume = _flat_loss_runs(tiny_corpus[1], tiny_run_config,
+                                    tmp_path, monkeypatch)
+    saved, save = [], tr.save_checkpoint
+
+    def counting(path, *args):
+        saved.append(os.path.relpath(path, tmp_path))
+        return save(path, *args)
+
+    monkeypatch.setattr(tr, "save_checkpoint", counting)
+    resumed = resume("b")
+    assert saved == [os.path.join("b", "last.ckpt")]
+    with open(first.best_path, "rb") as fa, \
+            open(resumed.best_path, "rb") as fb:
+        assert fa.read() == fb.read()
+
+
 def test_resume_beside_a_damaged_best_is_an_error_before_anything_is_written(
         tiny_corpus, tiny_run_config, tmp_path, monkeypatch):
     first, resume = _flat_loss_runs(tiny_corpus[1], tiny_run_config,
