@@ -66,12 +66,15 @@ def cmd_synth(args) -> int:
             raise ValueError(f"--{flag.replace('_', '-')} must be <= {pool} "
                              f"for {n} speakers x {k} utterances, got "
                              f"{getattr(args, flag)}")
+    # a failed run must not leave trials whose ids fit another corpus
+    trials_path = os.path.join(args.out_dir, "trials.txt")
+    if os.path.exists(trials_path):
+        os.remove(trials_path)
     manifest = sd.generate_corpus(args.out_dir, args.speakers, args.utts,
                                   duration_s=args.duration, seed=cfg.seed)
     utts = tr.load_manifest(manifest)
     trials = sd.make_trials(utts, args.num_target, args.num_nontarget,
                             seed=cfg.seed)
-    trials_path = os.path.join(args.out_dir, "trials.txt")
     mt.write_trials(trials_path, trials)
     print(f"wrote {len(utts)} utterances to {manifest}")
     print(f"wrote {len(trials)} trials to {trials_path}")

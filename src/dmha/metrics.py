@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,12 +110,25 @@ def naming(path, line=None):
 
 @contextlib.contextmanager
 def replacing(path):
-    """Yields path + ".tmp" to write path through: renamed over path when the
-    block ends, removed when it raises, so path is never half written."""
-    tmp = f"{os.fspath(path)}.tmp"
+    """Yields path + ".tmp" to write path through: fsynced, then renamed over
+    path when the block ends, removed when it raises, so path is whole or
+    absent even after a crash. Anything at path but a regular file (a
+    symlink, a device, a FIFO) is refused: the rename would destroy it."""
+    path = os.fspath(path)
+    if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+        raise ValueError(f"{path}: not a regular file")
+    tmp = f"{path}.tmp"
+    if os.path.lexists(tmp):  # a stale one, which open() would follow
+        os.remove(tmp)
     try:
         yield tmp
+        with open(tmp, "rb") as f:
+            os.fsync(f.fileno())
         os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename == tmp and exc.filename2 is None:
+            exc.filename = path  # name the file the caller asked for
+        raise
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -151,13 +165,13 @@ def read_trials(path) -> list[Trial]:
 
 
 def write_trials(path, trials):
-    with open(path, "w", encoding="utf-8") as f:
+    with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
         for t in trials:
             f.write(f"{t.label} {t.enroll_id} {t.test_id}\n")
 
 
 def write_scores(path, trials):
-    with open(path, "w", encoding="utf-8") as f:
+    with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
         for t in trials:
             f.write(f"{t.enroll_id} {t.test_id} {t.score:.9f}\n")
 

@@ -18,7 +18,7 @@ from . import features as feat
 from . import head as hd
 from . import pooling as pl
 from .autodiff import Tensor
-from .metrics import FormatError, naming, text_lines
+from .metrics import FormatError, naming, replacing, text_lines
 
 
 def param_rng_factory(seed: int):
@@ -161,7 +161,7 @@ def write_embeddings(path, embeddings: dict[str, np.ndarray]):
     with 17-significant-digit floats."""
     items = list(embeddings.items())
     dim = len(items[0][1]) if items else 0
-    with open(path, "w", encoding="utf-8") as f:
+    with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
         f.write(f"dim={dim} count={len(items)}\n")
         for uid, e in items:
             f.write(uid + " " + " ".join(f"{v:.17g}" for v in e) + "\n")

@@ -56,6 +56,8 @@ class TrainConfig:
             raise ValueError("validation_fraction must be in [0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if math.isnan(self.train_loss_goal):
+            raise ValueError("train_loss_goal must not be nan")
 
 
 # ---- dataset ----------------------------------------------------------------
@@ -178,8 +180,8 @@ def save_checkpoint(path, config: dict, tensors: dict):
     """Little-endian binary: magic, u32 version, length-prefixed UTF-8
     key=value block, then per-tensor records (name, rank, dims, raw f64).
 
-    The bytes are fsynced before they replace path (metrics.replacing): a
-    crash mid-write leaves the old file whole."""
+    Written through metrics.replacing, which fsyncs the bytes before they
+    replace path: a crash mid-write leaves the old file whole."""
     blob = "".join(f"{k}={config[k]}\n" for k in sorted(config)).encode()
     with replacing(path) as tmp, open(tmp, "wb") as f:
         f.write(CKPT_MAGIC)
@@ -195,18 +197,14 @@ def save_checkpoint(path, config: dict, tensors: dict):
             f.write(struct.pack("<B", arr.ndim))
             f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
             f.write(arr.tobytes())
-        f.flush()
-        os.fsync(f.fileno())
 
 
 def _copy_checkpoint(src, dst):
-    """Replace dst whole (metrics.replacing) by an fsynced copy of the
-    checkpoint at src, so its state is not serialised again and the two
+    """Replace dst whole by a copy of the checkpoint at src, fsynced by
+    metrics.replacing, so its state is not serialised again and the two
     names stay independent files."""
     with replacing(dst) as tmp:
         shutil.copyfile(src, tmp)
-        with open(tmp, "r+b") as f:
-            os.fsync(f.fileno())
 
 
 def load_checkpoint(path):

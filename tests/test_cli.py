@@ -18,6 +18,7 @@ from dmha import cli
 from dmha import features as feat
 from dmha import metrics as mt
 from dmha import model as mdl
+from dmha import synthdata as sd
 from dmha import trainer as tr
 from dmha.config import RunConfig, apply_overrides, load_config
 from dmha.metrics import FormatError
@@ -1210,3 +1211,43 @@ def test_setting_that_fails_without_a_config_names_no_file(capsys, tmp_path):
                           "--data", str(tmp_path / "missing.tsv"))
     assert (code, out) == (1, "")
     assert err == "error: head count 3 does not divide dim 5120\n"
+
+
+def test_nan_train_loss_goal_in_a_config_file_names_the_file(capsys,
+                                                             tmp_path):
+    """train_loss < nan is never true, so a nan goal was accepted and the
+    run silently never stopped early; -inf and +inf stay valid."""
+    for goal in ("-inf", "inf"):
+        RunConfig(train_loss_goal=float(goal)).validate()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("train_loss_goal = nan\n")
+    code, out, err = _run(capsys, "train", "--config", str(cfg), "--data",
+                          str(tmp_path / "m.tsv"),
+                          "--out-dir", str(tmp_path / "run"))
+    assert (code, out) == (1, "")
+    assert err == f"error: {cfg}: train_loss_goal must not be nan\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_failed_synth_leaves_no_trial_list_of_an_earlier_corpus(
+        capsys, tmp_path, monkeypatch):
+    """A synth that fails mid-corpus over an earlier one leaves neither
+    corpus's trials.txt: the earlier one's spk000-u000-style ids would
+    resolve against any later corpus of the same size."""
+    out = tmp_path / "corpus"
+    argv = ["synth", "--out-dir", str(out), "--speakers", "2", "--utts", "2",
+            "--duration", "0.1", "--num-target", "2", "--num-nontarget", "4"]
+    assert _run(capsys, *argv)[0] == 0
+    assert (out / "trials.txt").exists()
+    write_wav, calls = sd.write_wav, []
+
+    def failing_write_wav(path, audio):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        write_wav(path, audio)
+
+    monkeypatch.setattr(sd, "write_wav", failing_write_wav)
+    code, _, err = _run(capsys, *argv, "--seed", "1")
+    assert (code, err) == (1, "error: disk full\n")
+    assert sorted(p.name for p in out.iterdir()) == ["wav"]

@@ -1,12 +1,16 @@
 """EER / minDCF against an exhaustive threshold-sweep oracle, plus the
 trial/score file formats."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmha import metrics as mt
+from dmha import model as mdl
+from test_train_state import _LogDiskFullAfter as _DiskFullAfter
 
 
 def _oracle(scores, labels, cfg=mt.DcfConfig()):
@@ -247,3 +251,112 @@ def test_dcf_config_validation():
         mt.DcfConfig(c_fa=0.0)
     with pytest.raises(ValueError):
         mt.DcfConfig(p_t=1.0)
+
+
+def test_replacing_fsyncs_the_temp_file_before_renaming_it(tmp_path,
+                                                           monkeypatch):
+    """The temp file's bytes reach the disk before the rename makes them
+    path's, so a crash cannot leave path naming unwritten data."""
+    calls, fsync, replace = [], os.fsync, os.replace
+
+    def recording_fsync(fd):
+        calls.append(("fsync", os.fstat(fd).st_ino))
+        fsync(fd)
+
+    def recording_replace(src, dst):
+        calls.append(("replace", os.stat(src).st_ino))
+        replace(src, dst)
+
+    monkeypatch.setattr(mt.os, "fsync", recording_fsync)
+    monkeypatch.setattr(mt.os, "replace", recording_replace)
+    path = tmp_path / "out.txt"
+    with mt.replacing(path) as tmp:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write("new\n")
+        inode = os.stat(tmp).st_ino
+    assert calls == [("fsync", inode), ("replace", inode)]
+    assert path.read_text() == "new\n"
+
+
+# result-file writer -> (its module, the writer, ten items named by a tag)
+_WRITERS = {
+    "embeddings": (mdl, mdl.write_embeddings, lambda tag: {
+        f"{tag}{i}": np.full(3, i + 0.5) for i in range(10)}),
+    "trials": (mt, mt.write_trials, lambda tag: [
+        mt.Trial(i % 2, f"{tag}{i}", f"{tag}{i + 1}") for i in range(10)]),
+    "scores": (mt, mt.write_scores, lambda tag: [
+        mt.Trial(i % 2, f"{tag}{i}", f"{tag}{i + 1}", score=i / 7)
+        for i in range(10)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITERS))
+def test_result_file_write_that_fails_partway_leaves_the_previous_file(
+        tmp_path, monkeypatch, kind):
+    """A full disk a few lines into the new file leaves the old one byte for
+    byte, and no .tmp: a list cut at a line boundary would read as a
+    shorter list that still looks valid."""
+    module, write, items = _WRITERS[kind]
+    path = tmp_path / f"{kind}.txt"
+    write(path, items("old"))
+    before = path.read_bytes()
+    monkeypatch.setattr(module, "open", lambda p, mode="r", **kw:
+                        _DiskFullAfter(p, mode, len(before) // 3, **kw),
+                        raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write(path, items("new"))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+@pytest.mark.parametrize("obstacle", ["fifo", "symlink"])
+@pytest.mark.parametrize("kind", sorted(_WRITERS))
+def test_result_file_write_refuses_a_path_that_is_no_regular_file(
+        tmp_path, kind, obstacle):
+    """Renaming over a FIFO or device (say --out /dev/null) would destroy
+    it, and over /dev/stdout, a symlink, too: such a path is refused before
+    anything is written, and left as it was."""
+    _, write, items = _WRITERS[kind]
+    path = tmp_path / f"{kind}.txt"
+    if obstacle == "fifo":
+        os.mkfifo(path)
+    else:
+        (tmp_path / "target.txt").write_text("kept\n")
+        path.symlink_to(tmp_path / "target.txt")
+    with pytest.raises(ValueError, match=f"^{path}: not a regular file$"):
+        write(path, items("new"))
+    if obstacle == "fifo":
+        assert path.is_fifo()
+    else:
+        assert path.is_symlink()
+        assert path.read_text() == "kept\n"
+    assert not os.path.lexists(f"{path}.tmp")
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITERS))
+def test_result_file_write_removes_a_stale_symlink_at_its_temp_path(
+        tmp_path, kind):
+    """A symlink left at <path>.tmp is not written through: its target
+    keeps its bytes, and path becomes a regular file."""
+    _, write, items = _WRITERS[kind]
+    path = tmp_path / f"{kind}.txt"
+    (tmp_path / "target.txt").write_text("kept\n")
+    (tmp_path / f"{kind}.txt.tmp").symlink_to(tmp_path / "target.txt")
+    write(path, items("new"))
+    assert (tmp_path / "target.txt").read_text() == "kept\n"
+    assert not path.is_symlink() and path.stat().st_size > 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["target.txt", path.name])
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITERS))
+def test_result_file_write_error_names_the_path_it_was_given(tmp_path, kind):
+    """The temp file is an inner detail: a write into a missing directory
+    names the result file, not its .tmp."""
+    _, write, items = _WRITERS[kind]
+    path = tmp_path / "missing" / f"{kind}.txt"
+    with pytest.raises(FileNotFoundError) as exc:
+        write(path, items("new"))
+    assert str(exc.value) == (f"[Errno 2] No such file or directory: "
+                              f"'{path}'")
